@@ -9,7 +9,7 @@ collects every known bound whose hypothesis the instance satisfies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import InvalidK, NotSplit
@@ -195,13 +195,18 @@ def _double_block_eigenvalue(profile: JordanProfile, n: int) -> int | None:
 
 @dataclass(frozen=True)
 class GeneratorAnalysis:
-    """Per-generator spectral data feeding the ledger; spectrum may be absent."""
+    """Per-generator spectral data feeding the ledger; spectrum may be absent.
+
+    certificates maps r_max in (1, 2) to the minimal certificate of rank
+    <= r_max, in that order; an r_max with no certificate is left out.
+    """
 
     index: int
     degree: int
     spectrum: Spectrum | None
     profile: JordanProfile | None
     split_error: str | None
+    certificates: dict[int, RankCertificate] = field(default_factory=dict)
 
 
 def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
@@ -211,9 +216,20 @@ def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
         try:
             spec = split_roots(mp, s.field)
             profile = jordan_profile(g, spec)
-            out.append(GeneratorAnalysis(i, mp.degree, spec, profile, None))
         except NotSplit as exc:
             out.append(GeneratorAnalysis(i, mp.degree, None, None, str(exc)))
+            continue
+        # The enumeration order does not depend on r_max, so when the r_max = 2
+        # search finds nothing or a rank-1 certificate, that is also the first
+        # rank <= 1 hit; only a rank-2 answer needs a second search.
+        certs = {}
+        two = find_rank_reduction(g, spec, 2)
+        if two is not None:
+            one = two if two.achieved_rank <= 1 else find_rank_reduction(g, spec, 1)
+            if one is not None:
+                certs[1] = one
+            certs[2] = two
+        out.append(GeneratorAnalysis(i, mp.degree, spec, profile, None, certs))
     return out
 
 
@@ -366,65 +382,32 @@ def bound_ledger(
         )
     )
 
-    entries.extend(_certificate_entries(s, analyses))
+    entries.extend(_certificate_entries(s.n, analyses))
     return BoundLedger(entries=tuple(entries))
 
 
-def _certificate_entries(
-    s: GeneratingSet, analyses: list[GeneratorAnalysis]
-) -> list[BoundEntry]:
+def _certificate_entries(n: int, analyses: list[GeneratorAnalysis]) -> list[BoundEntry]:
     """Per-generator bound entries derived from rank-reduction certificates."""
     entries: list[BoundEntry] = []
     for a in analyses:
-        if a.spectrum is None:
-            continue
-        g = s.gens[a.index]
         seen: set[tuple[int, int]] = set()
-        for r_max in (1, 2):
-            cert = find_rank_reduction(g, a.spectrum, r_max)
-            if cert is None:
-                continue
+        for cert in a.certificates.values():
             key = (cert.achieved_rank, cert.degree)
             if key in seen:
                 continue
             seen.add(key)
-            r, d = cert.achieved_rank, cert.degree
+            r, d = key
             note = f"generator {a.index} has a rank-{r} certificate of degree {d}"
             entries.append(
-                BoundEntry(
-                    f"pappacena_r{r}_gen{a.index}",
-                    pappacena_bound(r, d, s.n),
-                    True,
-                    note,
-                )
+                BoundEntry(f"pappacena_r{r}_gen{a.index}", pappacena_bound(r, d, n), True, note)
             )
             if r == 1:
                 entries.append(
                     BoundEntry(
                         f"shitov_rank1_gen{a.index}",
-                        shitov_rank1_bound(max(d, 2), s.n),
+                        shitov_rank1_bound(max(d, 2), n),
                         True,
                         note + " (span level clamped to 2)" if d < 2 else note,
                     )
                 )
     return entries
-
-
-def best_certificates(
-    s: GeneratingSet, analyses: list[GeneratorAnalysis] | None = None
-) -> dict[int, dict[int, RankCertificate]]:
-    """For each split generator index, the minimal certificates for r_max 1 and 2."""
-    if analyses is None:
-        analyses = analyze_generators(s)
-    out: dict[int, dict[int, RankCertificate]] = {}
-    for a in analyses:
-        if a.spectrum is None:
-            continue
-        certs: dict[int, RankCertificate] = {}
-        for r_max in (1, 2):
-            cert = find_rank_reduction(s.gens[a.index], a.spectrum, r_max)
-            if cert is not None:
-                certs[r_max] = cert
-        if certs:
-            out[a.index] = certs
-    return out

@@ -1,22 +1,18 @@
 """Command-line surface: length, analyze, verify, fuzz, oracle-check.
 
 Exit codes: 0 success / no violation, 1 violation found, 2 usage or parse
-error, 3 unsupported instance. Reports are deterministic given the seed;
-fuzz campaigns merge worker results by instance index so any parallelism
-width produces the same bytes.
+error, 3 unsupported instance. Reports are deterministic given the seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import reports
-from .certificates import analyze_generators, best_certificates, bound_ledger
+from .certificates import analyze_generators, bound_ledger
 from .errors import (
     BudgetExceeded,
     EmptySet,
@@ -137,7 +133,7 @@ def _fuzz_one(family: str, n: int, p: int, master_seed: int, index: int) -> dict
     except GenerationRetriesExhausted as exc:
         base["skipped"] = str(exc)
         return base
-    record = reports.evaluate_instance(built.generating_set)
+    record = reports.evaluate_instance(built.generating_set, built.length_report)
     record.update(base)
     record["matrices"] = [g.entries.tolist() for g in built.generating_set.gens]
     record["retries"] = built.retries
@@ -158,24 +154,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     for fam in families:
         for n in ns:
             _admissible_params(fam, n)
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("MATLEN_JOBS", "1"))
-    if jobs < 1:
-        raise ParseError(f"--jobs must be at least 1, got {jobs}")
-    tasks = [
-        (fam, n, args.p, args.seed, i)
+    records = [
+        _fuzz_one(fam, n, args.p, args.seed, i)
         for fam in families
         for n in ns
         for i in range(args.count)
     ]
-    if jobs == 1:
-        records = [_fuzz_one(*t) for t in tasks]
-    else:
-        # Executor.map returns results in submission order, so the merged
-        # report is identical at every parallelism width.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda t: _fuzz_one(*t), tasks))
     config = {
         "command": "fuzz",
         "count": args.count,
@@ -208,19 +192,12 @@ def cmd_length(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     gs = reports.load_instance(args.input)
     analyses = analyze_generators(gs)
-    ledger = bound_ledger(gs, analyses)
     record = {
         "index": 0,
         "n": gs.n,
         "p": gs.field.p,
         "matrices": [g.entries.tolist() for g in gs.gens],
-        "m_S": max(a.degree for a in analyses),
-        "generators": [reports.analysis_to_json(a) for a in analyses],
-        "ledger": reports.ledger_to_json(ledger),
-        "certificates": {
-            str(i): {str(r): reports.certificate_to_json(c) for r, c in certs.items()}
-            for i, certs in best_certificates(gs, analyses).items()
-        },
+        **reports.analysis_fields(analyses, bound_ledger(gs, analyses)),
         "violations": [],
     }
     nonsplit = [a.index for a in analyses if a.split_error is not None]
@@ -238,7 +215,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     gs = reports.load_instance(args.input)
-    record = reports.evaluate_instance(gs)
+    record = reports.evaluate_instance(gs, compute_length(gs))
     record["index"] = 0
     record["matrices"] = [g.entries.tolist() for g in gs.gens]
     report = reports.make_report("verify", {"command": "verify", "input": args.input}, [record])
@@ -332,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--n", required=True, help="comma-separated matrix orders")
     p_fuzz.add_argument("--p", type=int, default=DEFAULT_P)
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--jobs", type=int, default=None, help="worker count (default: $MATLEN_JOBS or 1)")
     add_io(p_fuzz)
     p_fuzz.set_defaults(func=cmd_fuzz)
 

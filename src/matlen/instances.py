@@ -19,7 +19,7 @@ from .errors import (
     GenerationRetriesExhausted,
     SizeMismatch,
 )
-from .length import GeneratingSet, compute_length
+from .length import GeneratingSet, LengthReport, compute_length
 from .linalg import Matrix, PrimeField, conjugate, rank
 
 FAMILIES = ("RANDOM", "T10", "T11", "T12", "THM39")
@@ -181,9 +181,10 @@ def check_family_hypothesis(family: str, n: int, jordan: JordanSpec | None) -> N
 
 @dataclass
 class BuildResult:
-    """A built instance plus generation bookkeeping."""
+    """A built instance, the length report of its final generation check, and its retries."""
 
     generating_set: GeneratingSet
+    length_report: LengthReport
     retries: int = 0
 
 
@@ -212,8 +213,9 @@ def build_instance_with_meta(spec: InstanceSpec) -> BuildResult:
     while True:
         companions = [_companion(spec.n, f, max_degree, rng) for _ in range(spec.extra_gens)]
         gs = GeneratingSet(field=f, n=spec.n, gens=tuple([distinguished] + companions))
-        if compute_length(gs).is_generating:
-            return BuildResult(generating_set=gs, retries=retries)
+        rep = compute_length(gs)
+        if rep.is_generating:
+            return BuildResult(generating_set=gs, length_report=rep, retries=retries)
         retries += 1
         if retries >= MAX_RETRIES:
             raise GenerationRetriesExhausted(
@@ -232,8 +234,9 @@ def _random_generating_set(n: int, f: PrimeField, count: int, rng: np.random.Gen
     while True:
         gens = [random_matrix(n, f, rng) for _ in range(count)]
         gs = GeneratingSet(field=f, n=n, gens=tuple(gens))
-        if compute_length(gs).is_generating:
-            return BuildResult(generating_set=gs, retries=retries)
+        rep = compute_length(gs)
+        if rep.is_generating:
+            return BuildResult(generating_set=gs, length_report=rep, retries=retries)
         retries += 1
         if retries >= MAX_RETRIES:
             raise GenerationRetriesExhausted(

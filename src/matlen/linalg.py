@@ -18,6 +18,7 @@ from .errors import (
     FieldMismatch,
     ModulusTooLarge,
     NotPrime,
+    ParseError,
     Singular,
 )
 
@@ -60,20 +61,8 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def element(self, value: int) -> int:
-        return value % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -88,11 +77,22 @@ class Matrix:
     __slots__ = ("field", "n", "entries")
 
     def __init__(self, field: PrimeField, entries):
-        arr = np.asarray(entries, dtype=np.int64)
+        arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"expected a square array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix order must be at least 1")
+        if arr.dtype != np.int64:
+            # Integer input only: bool, float, complex and object arrays (the
+            # latter is what numpy makes of ints beyond uint64) are rejected
+            # rather than truncated, and so are uint64 values above int64's max.
+            if arr.dtype.kind not in "iu" or (
+                arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max
+            ):
+                raise ParseError(
+                    f"matrix entries must be integers that fit in int64, got dtype {arr.dtype}"
+                )
+            arr = arr.astype(np.int64)
         arr = arr % field.p
         arr.flags.writeable = False
         self.field = field
@@ -192,23 +192,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(self.field, out)
-
-    def add(self, other: Polynomial) -> Polynomial:
-        _check_field(self.field, other.field)
-        m = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * m
-        for i, a in enumerate(self.coeffs):
-            out[i] += a
-        for i, b in enumerate(other.coeffs):
-            out[i] += b
-        return Polynomial(self.field, out)
-
-    def eval_scalar(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at a vector of points (used by the root scan)."""

@@ -19,11 +19,10 @@ from .certificates import (
     GeneratorAnalysis,
     RankCertificate,
     analyze_generators,
-    best_certificates,
     bound_ledger,
 )
 from .errors import ParseError
-from .length import GeneratingSet, LengthReport, compute_length
+from .length import GeneratingSet, LengthReport
 from .linalg import Matrix, PrimeField
 
 INSTANCE_SCHEMA = 1
@@ -140,29 +139,34 @@ def collect_violations(ledger: BoundLedger, rep: LengthReport) -> list[dict]:
     ]
 
 
-def evaluate_instance(gs: GeneratingSet, with_certificates: bool = True) -> dict:
-    """Full verification record: length, ledger, certificates, violations."""
+def analysis_fields(analyses: list[GeneratorAnalysis], ledger: BoundLedger) -> dict:
+    """The m_S, generators, ledger and certificates keys of an analyze or verify record."""
+    return {
+        "m_S": max(a.degree for a in analyses),
+        "generators": [analysis_to_json(a) for a in analyses],
+        "ledger": ledger_to_json(ledger),
+        "certificates": {
+            str(a.index): {str(r): certificate_to_json(c) for r, c in a.certificates.items()}
+            for a in analyses
+            if a.certificates
+        },
+    }
+
+
+def evaluate_instance(gs: GeneratingSet, rep: LengthReport) -> dict:
+    """Full verification record: ledger and certificates, checked against rep = compute_length(gs)."""
     analyses = analyze_generators(gs)
-    rep = compute_length(gs)
     ledger = bound_ledger(gs, analyses)
-    violations = collect_violations(ledger, rep)
     record: dict[str, Any] = {
         "n": gs.n,
         "p": gs.field.p,
-        "m_S": max(a.degree for a in analyses),
-        "generators": [analysis_to_json(a) for a in analyses],
+        **analysis_fields(analyses, ledger),
         "length_report": length_report_to_json(rep),
-        "ledger": ledger_to_json(ledger),
-        "violations": violations,
+        "violations": collect_violations(ledger, rep),
         "flags": [],
     }
     if rep.is_generating and rep.length is not None and rep.length > 2 * gs.n - 2:
         record["flags"].append("length_exceeds_2n_minus_2")
-    if with_certificates:
-        record["certificates"] = {
-            str(i): {str(r): certificate_to_json(c) for r, c in certs.items()}
-            for i, certs in best_certificates(gs, analyses).items()
-        }
     return record
 
 

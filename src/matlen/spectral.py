@@ -37,21 +37,12 @@ class Spectrum:
     def eigenvalues(self) -> tuple[int, ...]:
         return tuple(lam for lam, _ in self.roots)
 
-    def multiplicity(self, lam: int) -> int:
-        for mu, e in self.roots:
-            if mu == lam:
-                return e
-        return 0
-
 
 @dataclass(frozen=True)
 class JordanProfile:
     """Per-eigenvalue multisets of Jordan block sizes, sorted descending."""
 
     blocks: dict[int, tuple[int, ...]]
-
-    def order(self) -> int:
-        return sum(sum(sizes) for sizes in self.blocks.values())
 
     def max_block(self, lam: int) -> int:
         return self.blocks[lam][0]

@@ -16,7 +16,8 @@ from matlen.certificates import (
     t12_hypothesis,
     thm38_hypothesis,
 )
-from matlen.errors import InvalidK
+from matlen.cli import derive_instance_spec
+from matlen.errors import GenerationRetriesExhausted, InvalidK
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
@@ -237,3 +238,27 @@ class TestBoundLedger:
         ledger = bound_ledger(gs)
         assert not ledger.find("markova_unique_max_block").applicable
         assert "undecidable" in ledger.find("markova_unique_max_block").hypothesis_note
+
+
+def test_stored_certificates_match_independent_searches():
+    # analyze_generators skips the r_max = 1 search when the r_max = 2 answer
+    # already settles it; a fresh search for each r_max must agree. The sweep
+    # must reach both sides: a rank-2 answer (second search made) and a
+    # missing or rank-1 answer (second search skipped).
+    second_search = {True: 0, False: 0}
+    for family, n in (("T10", 4), ("T10", 6), ("T12", 5), ("T12", 6), ("THM39", 4), ("THM39", 6), ("RANDOM", 4)):
+        for index in range(6):
+            try:
+                gs = build_instance(derive_instance_spec(family, n, 101, 23, index))
+            except GenerationRetriesExhausted:
+                continue
+            for a in analyze_generators(gs):
+                if a.spectrum is None:
+                    assert a.certificates == {}
+                    continue
+                g = gs.gens[a.index]
+                independent = {r: find_rank_reduction(g, a.spectrum, r) for r in (1, 2)}
+                assert a.certificates == {r: c for r, c in independent.items() if c is not None}
+                two = independent[2]
+                second_search[two is not None and two.achieved_rank == 2] += 1
+    assert second_search[True] > 0 and second_search[False] > 0, second_search

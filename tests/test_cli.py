@@ -161,7 +161,7 @@ class TestVerifyCommand:
     def test_violation_exit_code_wiring(self, tmp_path, monkeypatch):
         import matlen.cli as cli_mod
 
-        def forged(gs, with_certificates=True):
+        def forged(gs, rep):
             return {
                 "n": gs.n,
                 "p": gs.field.p,
@@ -197,24 +197,55 @@ class TestOracleCheckCommand:
 
 
 class TestFuzzCommand:
-    def test_parallel_output_is_byte_identical(self, tmp_path):
+    def test_repeated_output_is_byte_identical(self, tmp_path):
         args = ["fuzz", "--count", "6", "--family", "RANDOM,T10", "--n", "4", "--seed", "5"]
         outs = []
-        for jobs in ("1", "8", "1"):
-            out = tmp_path / f"report_{len(outs)}.json"
-            rc = main(args + ["--jobs", jobs, "--out", str(out)])
+        for run in range(3):
+            out = tmp_path / f"report_{run}.json"
+            rc = main(args + ["--out", str(out)])
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_env_var_honored_when_flag_absent(self, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["fuzz", "--count", "4", "--family", "RANDOM", "--n", "3", "--seed", "5"]
-        monkeypatch.setenv("MATLEN_JOBS", "4")
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.delenv("MATLEN_JOBS")
-        assert main(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_jobs_flag_is_gone(self, tmp_path):
+        args = ["fuzz", "--count", "1", "--n", "3", "--jobs", "2", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 2
+
+    def test_length_once_per_instance_and_two_searches_per_generator(self, tmp_path, monkeypatch):
+        import matlen.certificates
+        import matlen.cli
+        import matlen.instances
+        import matlen.length
+        import matlen.reports
+
+        calls = {"compute_length": 0, "find_rank_reduction": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name, real in (
+            ("compute_length", matlen.length.compute_length),
+            ("find_rank_reduction", matlen.certificates.find_rank_reduction),
+        ):
+            wrapper = counting(name, real)
+            for mod in (matlen.certificates, matlen.cli, matlen.instances, matlen.reports):
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, wrapper)
+        out = tmp_path / "report.json"
+        args = ["fuzz", "--family", "RANDOM,T10,T12,THM39", "--n", "4", "--count", "6", "--out", str(out)]
+        assert main(args) == 0
+        body = json.loads(out.read_text())
+        summary = body["summary"]
+        split = sum(
+            "spectrum" in g for r in body["instances"] for g in r.get("generators", ())
+        )
+        assert summary["evaluated"] == 24
+        assert calls["compute_length"] == summary["instances"] + summary["generation_retries"]
+        assert 0 < calls["find_rank_reduction"] <= 2 * split
 
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "report.csv"

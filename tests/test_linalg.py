@@ -12,6 +12,7 @@ from matlen.errors import (
     FieldMismatch,
     ModulusTooLarge,
     NotPrime,
+    ParseError,
     Singular,
 )
 from matlen.linalg import (
@@ -69,6 +70,29 @@ class TestPrimeField:
     def test_inverse_roundtrip(self):
         for a in range(1, 7):
             assert F7.mul(a, F7.inv(a)) == 1
+
+
+class TestMatrixInput:
+    def test_integer_arrays_and_lists_reduce_mod_p(self):
+        assert Matrix(F7, [[8, -1], [0, 1]]).entries.tolist() == [[1, 6], [0, 1]]
+        assert Matrix(F7, np.array([[8, 2], [0, 1]], dtype=np.uint8)) == Matrix(F7, [[1, 2], [0, 1]])
+        assert Matrix(F7, np.array([[2**63 - 1]], dtype=np.uint64)).entries.tolist() == [[(2**63 - 1) % 7]]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[True, False], [False, True]],
+            [[1.9, 1], [0, 1]],
+            [[1 + 0j, 1], [0, 1]],
+            np.array([[1, 2], [0, 1]], dtype=object),
+            [[2**70]],
+            np.array([[2**63]], dtype=np.uint64),
+        ],
+        ids=["bool", "float", "complex", "object", "beyond-uint64", "beyond-int64"],
+    )
+    def test_non_integer_or_oversized_entries_rejected(self, entries):
+        with pytest.raises(ParseError, match="fit in int64"):
+            Matrix(F7, entries)
 
 
 class TestMatMul:

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from matlen.errors import NotSplit
+from matlen.errors import CharPolyNotSplit, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
 from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
 from matlen.spectral import (
     MinimalPolynomial,
+    Spectrum,
     is_nonderogatory,
     jordan_profile,
     m_of_s,
@@ -138,6 +139,11 @@ class TestJordanProfile:
                 mp = minimal_polynomial(a)
                 prof = self.profile_of(a, F101)
                 assert mp.degree == sum(sizes[0] for sizes in prof.blocks.values())
+
+    def test_spectrum_missing_an_eigenvalue_is_rejected(self):
+        # diag(1, 2) with only the root 1: the blocks cover 1 of 2 dimensions.
+        with pytest.raises(CharPolyNotSplit):
+            jordan_profile(Matrix(F7, [[1, 0], [0, 2]]), Spectrum(((1, 1),)))
 
 
 class TestPredicates:
