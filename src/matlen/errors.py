@@ -21,6 +21,10 @@ class ModulusTooLarge(MatlenError):
     """Modulus exceeds the 2^20 cap required for exhaustive root scanning."""
 
 
+class AccumulatorOverflow(MatlenError):
+    """Exact accumulation over F_p would exceed int64 for this dimension and modulus."""
+
+
 class Singular(MatlenError):
     """Matrix inversion requested for a rank-deficient matrix."""
 

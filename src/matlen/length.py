@@ -10,10 +10,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .errors import BudgetExceeded, DimensionMismatch, EmptySet, FieldMismatch
 from .linalg import Matrix, PrimeField, SpanBasis, mat_mul
 
 BRUTE_FORCE_WORD_GUARD = 10**6
+# Candidate words per SpanBasis.insert_rows call. On random 2-generator sets
+# over F_101 (2-core x86 VM), 128 ran n = 24-48 faster than 64, and as fast as
+# 256 up to n = 32 with less peak memory.
+BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,10 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     suffice because every word of length i+1 factors as g * w with w of
     length i. Terminates within n^2 levels: the dimension strictly increases
     until the final level.
+
+    Candidates are built and inserted BLOCK_ROWS words at a time, generator
+    by generator in frontier order, through `SpanBasis.insert_rows`; the
+    frontier is the same, in the same order, as one insert per candidate.
     """
     field, n = s.field, s.n
     full = n * n
@@ -73,24 +83,29 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     identity = Matrix.identity(field, n)
     basis.insert(identity.vec())
     dims = [basis.dim()]
-    frontier = [identity]
+    # A candidate entry sums n products of residues, within the basis's
+    # exactness bound, so words are kept in the basis dtype.
+    gens = [g.entries.astype(basis.dtype) for g in s.gens]
+    frontier = identity.entries.astype(basis.dtype)[np.newaxis]
     while dims[-1] < full:
         if len(dims) - 1 >= cap:
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
-        new_frontier: list[Matrix] = []
+        grown = []
         seen: set[bytes] = set()
-        for g in s.gens:
-            for w in frontier:
-                cand = mat_mul(g, w)
-                key = cand.entries.tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if basis.insert(cand.vec()):
-                    new_frontier.append(cand)
+        for g in gens:
+            for start in range(0, len(frontier), BLOCK_ROWS):
+                cands = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
+                fresh = []
+                for i, cand in enumerate(cands):
+                    key = cand.tobytes()
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(i)
+                block = cands[fresh]
+                grown.append(block[basis.insert_rows(block.reshape(len(fresh), full))])
         dims.append(basis.dim())
-        frontier = new_frontier
-        if not new_frontier:
+        frontier = np.concatenate(grown)
+        if not len(frontier):
             break
     generated_dim = dims[-1]
     generating = generated_dim == full

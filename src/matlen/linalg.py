@@ -1,19 +1,22 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Field elements are canonical int residues in [0, p). Matrices are square,
-immutable, and backed by int64 numpy arrays; with p < 2^20 every dot product
-of length up to ~2^22 fits in int64 before reduction, so all arithmetic here
-is exact.
+Field elements are canonical int residues in [0, p) with p < 2^20. Matrices
+are square, immutable, and backed by int64 numpy arrays; a product of two of
+them sums n terms below 2^40, so it is exact in int64 for every n < 2^23.
+
+SpanBasis has its own bound, stated and checked in `_accumulator_dtype`: it
+works in float64, so that its products run through BLAS, while
+ambient_dim * (p-1)^2 < 2^53, and in int64 while that is below 2^63.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    AccumulatorOverflow,
     DimensionMismatch,
     FieldMismatch,
     ModulusTooLarge,
@@ -156,7 +159,13 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int]):
-        cs = [c % field.p for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            # bool is an int subclass, and floats, complex numbers and other
+            # objects would be kept as field elements: reject, never truncate.
+            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
+                raise ParseError(f"polynomial coefficients must be integers, got {type(c).__name__}")
+        cs = [int(c) % field.p for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.field = field
@@ -325,20 +334,48 @@ def solve(columns: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray |
     return x
 
 
+# Every product SpanBasis forms (reducing vectors against the basis, merging
+# new rows into it, and the candidate words compute_length builds from n x n
+# matrices) sums at most ambient_dim products of two residues in [0, p), each
+# partial sum an integer of magnitude below ambient_dim * (p-1)^2, and the
+# difference with a residue stays within that bound. float64 holds all such
+# integers exactly, whatever order BLAS sums them in, below 2^53 (every
+# n <= 90 at p < 2^20); int64 holds them below 2^63.
+FLOAT64_EXACT_BOUND = 1 << 53
+INT64_EXACT_BOUND = 1 << 63
+MERGE_ROWS = 256
+
+
+def _accumulator_dtype(ambient_dim: int, p: int) -> type:
+    worst = ambient_dim * (p - 1) ** 2
+    if worst < FLOAT64_EXACT_BOUND:
+        return np.float64
+    if worst < INT64_EXACT_BOUND:
+        return np.int64
+    raise AccumulatorOverflow(
+        f"ambient dimension {ambient_dim} over F_{p}: sums up to {worst} exceed int64"
+    )
+
+
 class SpanBasis:
     """Row-reduced basis of a subspace of F_p^{ambient_dim}.
 
-    Rows are kept in RREF with strictly increasing pivot columns, so a vector
-    reduces against the whole basis in one shot: its coordinate on row i is
-    its entry at pivot column i.
+    Each stored row has a 1 at its pivot column and 0 at every other row's
+    pivot column, so a vector reduces against the whole basis in one product:
+    its coordinate on a row is its entry at that row's pivot column. Rows are
+    stored in the order they were added, in the exact dtype chosen by
+    `_accumulator_dtype`; `rows` and `pivot_cols` sort them by pivot, which
+    is the unique RREF of the span.
     """
 
-    __slots__ = ("field", "ambient_dim", "_rows", "_pivots")
+    __slots__ = ("field", "ambient_dim", "dtype", "_rows", "_pivots")
 
     def __init__(self, field: PrimeField, ambient_dim: int):
         self.field = field
         self.ambient_dim = int(ambient_dim)
-        self._rows = np.zeros((0, self.ambient_dim), dtype=np.int64)
+        self.dtype = _accumulator_dtype(self.ambient_dim, field.p)
+        # Capacity grows by doubling; the first dim() rows are the basis.
+        self._rows = np.zeros((0, self.ambient_dim), dtype=self.dtype)
         self._pivots: list[int] = []
 
     def dim(self) -> int:
@@ -346,44 +383,130 @@ class SpanBasis:
 
     @property
     def rows(self) -> np.ndarray:
-        return self._rows
+        """The basis in RREF, rows sorted by pivot column, as int64."""
+        order = np.argsort(self._pivots)
+        return self._rows[order].astype(np.int64)
 
     @property
     def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(self._pivots)
+        return tuple(sorted(self._pivots))
 
     def reduce(self, vec: Sequence[int] | np.ndarray) -> np.ndarray:
         """Residue of vec after elimination against the basis."""
-        v = np.asarray(vec, dtype=np.int64) % self.field.p
-        if v.shape != (self.ambient_dim,):
-            raise DimensionMismatch(
-                f"vector of shape {v.shape} does not match ambient dimension {self.ambient_dim}"
-            )
-        if self._pivots:
-            coeffs = v[self._pivots]
-            if coeffs.any():
-                v = (v - coeffs @ self._rows) % self.field.p
-        return v
+        return self._eliminate(self._coerce(vec, ndim=1)).astype(np.int64)
 
     def contains(self, vec: Sequence[int] | np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
     def insert(self, vec: Sequence[int] | np.ndarray) -> bool:
-        """Insert vec if independent; returns True iff the dimension grew."""
-        v = self.reduce(vec)
+        """Insert vec if independent; returns True iff the dimension grew.
+
+        The sequential reference for `insert_rows`.
+        """
+        return self._append(self._eliminate(self._coerce(vec, ndim=1)))
+
+    def insert_rows(self, block: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
+        """Insert the rows of block in order; returns the indices of those that grew the span.
+
+        Accepts exactly the rows, and leaves exactly the basis, that one
+        `insert` per row would, in three steps: one product reduces the whole
+        block against the basis; a local elimination over the reduced rows, in
+        order, keeps those independent of the rows before them; one rank-r
+        product clears the new pivot columns from the basis before the kept
+        rows, in RREF, are appended.
+        """
+        p = self.field.p
+        b = self._coerce(block, ndim=2)
+        d = self.dim()
+        if d == self.ambient_dim:
+            return []
+        if d:
+            b -= b[:, self._pivots] @ self._rows[:d]
+            np.remainder(b, p, out=b)
+        # Local elimination in candidate order. new[:k] holds the rows kept so
+        # far, each reduced against those before it, so new[:k, pivots] is
+        # unit upper triangular; inv_u is its inverse, extended by one column
+        # per kept row, and a row's residue against new[:k] takes two products.
+        most = min(len(b), self.ambient_dim - d)
+        new = np.empty((most, self.ambient_dim), dtype=self.dtype)
+        inv_u = np.zeros((most, most), dtype=self.dtype)
+        pivots: list[int] = []
+        accepted: list[int] = []
+        for i, v in enumerate(b):
+            k = len(pivots)
+            if k:
+                coeffs = (v[pivots] @ inv_u[:k, :k]) % p
+                if coeffs.any():
+                    v = (v - coeffs @ new[:k]) % p
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                continue
+            j = int(nz[0])
+            new[k] = (v * self.field.inv(int(v[j]))) % p
+            inv_u[:k, k] = -(inv_u[:k, :k] @ new[:k, j]) % p
+            inv_u[k, k] = 1
+            pivots.append(j)
+            accepted.append(i)
+        k = len(pivots)
+        if k:
+            # RREF of the kept rows: new[:, pivots] == I, zero at the basis pivots.
+            new = (inv_u[:k, :k] @ new[:k]) % p
+            self._reserve(k)
+            if d:
+                # In slices of rows, so the product's temporary stays small.
+                for lo in range(0, d, MERGE_ROWS):
+                    part = self._rows[lo : min(lo + MERGE_ROWS, d)]
+                    part -= part[:, pivots] @ new
+                    np.remainder(part, p, out=part)
+            self._rows[d : d + k] = new
+            self._pivots += pivots
+        return accepted
+
+    def _coerce(self, values, ndim: int) -> np.ndarray:
+        """Vector (ndim 1) or block of rows (ndim 2) as residues in the basis dtype."""
+        # Reduced in int64 first: a float64 conversion of larger integers is inexact.
+        v = np.asarray(values, dtype=np.int64) % self.field.p
+        if v.ndim != ndim or v.shape[-1] != self.ambient_dim:
+            raise DimensionMismatch(
+                f"shape {v.shape} does not match ambient dimension {self.ambient_dim}"
+            )
+        return v.astype(self.dtype)
+
+    def _eliminate(self, v: np.ndarray) -> np.ndarray:
+        """Residue of v (entries in [0, p), basis dtype) against the basis."""
+        d = self.dim()
+        if d:
+            coeffs = v[self._pivots]
+            if coeffs.any():
+                v = (v - coeffs @ self._rows[:d]) % self.field.p
+        return v
+
+    def _append(self, v: np.ndarray) -> bool:
+        """Add the residue v as a new basis row unless it is zero."""
         nz = np.flatnonzero(v)
         if nz.size == 0:
             return False
+        p = self.field.p
         j = int(nz[0])
-        v = (v * self.field.inv(int(v[j]))) % self.field.p
-        if self._pivots:
-            col = self._rows[:, j].copy()
-            if col.any():
-                self._rows = (self._rows - np.outer(col, v)) % self.field.p
-        pos = bisect_left(self._pivots, j)
-        self._rows = np.insert(self._rows, pos, v, axis=0)
-        self._pivots.insert(pos, j)
+        v = (v * self.field.inv(int(v[j]))) % p
+        d = self.dim()
+        if d:
+            basis = self._rows[:d]
+            if basis[:, j].any():
+                basis -= np.outer(basis[:, j], v)
+                np.remainder(basis, p, out=basis)
+        self._reserve(1)
+        self._rows[d] = v
+        self._pivots.append(j)
         return True
+
+    def _reserve(self, extra: int) -> None:
+        d = self.dim()
+        if d + extra > len(self._rows):
+            cap = min(self.ambient_dim, max(2 * len(self._rows), d + extra))
+            grown = np.empty((cap, self.ambient_dim), dtype=self.dtype)
+            grown[:d] = self._rows[:d]
+            self._rows = grown
 
 
 def span_insert(basis: SpanBasis, m: Matrix) -> bool:

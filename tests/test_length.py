@@ -5,10 +5,13 @@ from itertools import product
 import numpy as np
 import pytest
 
+from matlen import length
+from matlen.cli import derive_instance_spec
 from matlen.errors import BudgetExceeded, EmptySet
-from matlen.instances import random_generating_set, random_invertible
+from matlen.instances import build_instance, random_generating_set, random_invertible
 from matlen.length import (
     GeneratingSet,
+    LengthReport,
     brute_force_length,
     compute_length,
     is_generating,
@@ -34,6 +37,72 @@ def all_words_dims(s: GeneratingSet, levels: int) -> list[int]:
             span_insert(basis, m)
         dims.append(basis.dim())
     return dims
+
+
+def sequential_length(s: GeneratingSet, max_levels: int | None = None) -> LengthReport:
+    """Test-side frontier loop: one SpanBasis.insert per candidate word."""
+    full = s.n * s.n
+    cap = full if max_levels is None else max_levels
+    basis = SpanBasis(s.field, full)
+    identity = Matrix.identity(s.field, s.n)
+    basis.insert(identity.vec())
+    dims = [basis.dim()]
+    frontier = [identity]
+    while dims[-1] < full:
+        if len(dims) - 1 >= cap:
+            raise BudgetExceeded(f"level cap {cap}")
+        grown, seen = [], set()
+        for g in s.gens:
+            for w in frontier:
+                cand = mat_mul(g, w)
+                key = cand.entries.tobytes()
+                if key in seen:
+                    continue
+                seen.add(key)
+                if basis.insert(cand.vec()):
+                    grown.append(cand)
+        dims.append(basis.dim())
+        frontier = grown
+        if not grown:
+            break
+    generating = dims[-1] == full
+    return LengthReport(
+        n=s.n,
+        dims=tuple(dims),
+        length=len(dims) - 1 if generating else None,
+        generated_dim=dims[-1],
+        is_generating=generating,
+    )
+
+
+def block_triangular_set(n: int, field: PrimeField, rng) -> GeneratingSet:
+    """Two random matrices with a zero lower-left block: the span stalls below n^2."""
+    mats = []
+    for _ in range(2):
+        arr = rng.integers(0, field.p, size=(n, n))
+        arr[n // 2 :, : n // 2] = 0
+        mats.append(Matrix(field, arr))
+    return GeneratingSet.of(mats)
+
+
+def sweep_sets(orders, seed: int):
+    """Random pairs and triples with a repeated generator, T10 (T11 at odd n) and T12
+    instances, block-triangular (stalled) sets and single matrices."""
+    rng = np.random.default_rng(seed)
+    for n in orders:
+        pair = [Matrix(F101, rng.integers(0, 101, size=(n, n))) for _ in range(2)]
+        yield GeneratingSet.of(pair)
+        yield GeneratingSet.of(pair + pair[:1])
+        for family in ("T10" if n % 2 == 0 else "T11", "T12"):
+            if n >= 4:
+                yield build_instance(derive_instance_spec(family, n, 101, seed, n))
+        if n >= 2:
+            yield block_triangular_set(n, F101, rng)
+        yield GeneratingSet.of([Matrix(PrimeField(2), rng.integers(0, 2, size=(n, n)))])
+
+
+def transpose(s: GeneratingSet) -> GeneratingSet:
+    return GeneratingSet.of([Matrix(s.field, g.entries.T) for g in s.gens])
 
 
 class TestComputeLength:
@@ -77,6 +146,36 @@ class TestComputeLength:
         stalled = compute_length(gs)
         extended = all_words_dims(gs, len(stalled.dims) - 1 + 3)
         assert extended[-4:] == [stalled.generated_dim] * 4
+
+
+class TestBlockedEngine:
+    @pytest.mark.parametrize("block_rows", [1, 5, length.BLOCK_ROWS])
+    def test_equals_sequential_frontier_loop(self, block_rows, monkeypatch):
+        # Small blocks split each generator's frontier slice many times over.
+        monkeypatch.setattr(length, "BLOCK_ROWS", block_rows)
+        stalled = 0
+        for gs in sweep_sets(range(1, 13), seed=7):
+            rep = compute_length(gs)
+            assert rep == sequential_length(gs)
+            stalled += not rep.is_generating
+        assert stalled >= 12
+
+    def test_level_cap_matches_sequential(self):
+        for gs in sweep_sets((3, 6, 9), seed=11):
+            rep = compute_length(gs)
+            levels = len(rep.dims) - 1
+            assert compute_length(gs, max_levels=levels) == sequential_length(gs, levels) == rep
+            if rep.is_generating and levels:
+                for fn in (compute_length, sequential_length):
+                    with pytest.raises(BudgetExceeded):
+                        fn(gs, max_levels=levels - 1)
+
+    def test_transpose_preserves_dims(self):
+        # The words of length <= i over S^T are the transposes of those over S,
+        # read backwards: (g1 ... gk)^T = gk^T ... g1^T. Transposing is a linear
+        # isomorphism, so every dim L_i is kept.
+        for gs in sweep_sets((2, 3, 5, 8, 12, 16), seed=13):
+            assert compute_length(transpose(gs)).dims == compute_length(gs).dims
 
 
 class TestBruteForce:

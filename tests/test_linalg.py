@@ -1,6 +1,7 @@
 """Exact arithmetic and span-basis primitives."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matlen.errors import (
+    AccumulatorOverflow,
     DimensionMismatch,
     FieldMismatch,
     ModulusTooLarge,
@@ -93,6 +95,21 @@ class TestMatrixInput:
     def test_non_integer_or_oversized_entries_rejected(self, entries):
         with pytest.raises(ParseError, match="fit in int64"):
             Matrix(F7, entries)
+
+
+class TestPolynomialInput:
+    def test_integer_coefficients_reduce_mod_p(self):
+        assert Polynomial(F7, [8, -1, np.int64(14), 2**70]).coeffs == (1, 6, 0, 2**70 % 7)
+        assert all(type(c) is int for c in Polynomial(F7, np.array([3, 9], dtype=np.uint8)).coeffs)
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [True, np.bool_(True), 1.9, 2.0, np.float64(1.0), 1 + 0j, Fraction(1, 2), object()],
+        ids=["bool", "numpy-bool", "float", "integral-float", "numpy-float", "complex", "fraction", "object"],
+    )
+    def test_non_integer_coefficients_rejected(self, coeff):
+        with pytest.raises(ParseError, match="must be integers"):
+            Polynomial(F7, [1, coeff])
 
 
 class TestMatMul:
@@ -272,6 +289,83 @@ class TestSpanBasis:
         basis = SpanBasis(F101, 4)
         with pytest.raises(DimensionMismatch):
             span_insert(basis, Matrix.identity(F101, 3))
+
+    def test_accumulator_dtype_bounds(self):
+        # float64 while ambient_dim * (p-1)^2 < 2^53, then int64 below 2^63.
+        big = PrimeField(1048573)
+        assert SpanBasis(big, 90 * 90).dtype == np.float64
+        assert SpanBasis(big, 8192).dtype == np.float64
+        assert SpanBasis(big, 8193).dtype == np.int64
+        assert SpanBasis(PrimeField(2), 2**40).dtype == np.float64
+        assert SpanBasis(big, 8388672).dtype == np.int64
+        with pytest.raises(AccumulatorOverflow):
+            SpanBasis(big, 8388673)
+
+    def test_int64_path_matches_sequential(self):
+        big = PrimeField(1048573)
+        rng = np.random.default_rng(5)
+        block = np.zeros((6, 8193), dtype=np.int64)
+        block[:, rng.integers(0, 8193, size=40)] = rng.integers(0, big.p, size=(6, 40))
+        block[3] = (block[0] * 5 + block[1]) % big.p
+        blocked, sequential = SpanBasis(big, 8193), SpanBasis(big, 8193)
+        assert blocked.dtype == np.int64
+        assert blocked.insert_rows(block) == [i for i, v in enumerate(block) if sequential.insert(v)]
+        assert blocked.pivot_cols == sequential.pivot_cols
+        assert np.array_equal(blocked.rows, sequential.rows)
+
+    def test_insert_rows_dimension_mismatch(self):
+        basis = SpanBasis(F101, 4)
+        with pytest.raises(DimensionMismatch):
+            basis.insert_rows(np.zeros((2, 5), dtype=np.int64))
+        with pytest.raises(DimensionMismatch):
+            basis.insert_rows(np.zeros(4, dtype=np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 101, 1048573]),
+        ambient=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        preloaded=st.integers(0, 24),
+        size=st.integers(0, 150),
+        cuts=st.lists(st.integers(0, 150), max_size=3),
+    )
+    def test_insert_rows_matches_sequential_insert(self, p, ambient, seed, preloaded, size, cuts):
+        """insert_rows keeps exactly the rows, and leaves exactly the basis, of one insert per row."""
+        field = PrimeField(p)
+        rng = np.random.default_rng(seed)
+        subspace = rng.integers(0, p, size=(max(1, ambient // 2), ambient))
+        rows: list[np.ndarray] = []
+        for _ in range(size):
+            kind = rng.integers(5)
+            if kind == 0 or not rows:
+                v = rng.integers(0, p, size=ambient)
+            elif kind == 1:
+                v = np.zeros(ambient, dtype=np.int64)
+            elif kind == 2:
+                v = rng.integers(0, p, size=len(subspace)) @ subspace % p
+            elif kind == 3:
+                v = rows[rng.integers(len(rows))]  # duplicate
+            else:  # combination of earlier rows
+                v = rng.integers(0, p, size=2) @ np.stack([rows[i] for i in rng.integers(len(rows), size=2)]) % p
+            rows.append(v)
+        block = np.array(rows, dtype=np.int64).reshape(size, ambient)
+        # Unreduced representatives: a multiple of p up to 2^62 added to a third of the entries.
+        block += p * rng.integers(-(2**62 // p), 2**62 // p, size=block.shape) * (rng.random(block.shape) < 1 / 3)
+
+        blocked, sequential = SpanBasis(field, ambient), SpanBasis(field, ambient)
+        for v in rng.integers(0, p, size=(preloaded, ambient)):
+            assert blocked.insert(v) == sequential.insert(v)
+        accepted = []
+        bounds = [0] + sorted(min(c, size) for c in cuts) + [size]
+        for lo, hi in zip(bounds, bounds[1:]):
+            accepted += [lo + i for i in blocked.insert_rows(block[lo:hi])]
+        # The reference sees the reduced rows, so an inexact reduction of the
+        # unreduced ones shows.
+        assert accepted == [i for i, v in enumerate(block % p) if sequential.insert(v)]
+        assert blocked.dim() == sequential.dim()
+        assert blocked.pivot_cols == sequential.pivot_cols
+        assert np.array_equal(blocked.rows, sequential.rows)
+        assert blocked.rows.dtype == np.int64
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
