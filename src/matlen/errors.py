@@ -18,7 +18,7 @@ class NotPrime(MatlenError):
 
 
 class ModulusTooLarge(MatlenError):
-    """Modulus exceeds the 2^20 cap required for exhaustive root scanning."""
+    """Modulus exceeds the 2^20 cap under which int64 and float64 arithmetic stays exact."""
 
 
 class AccumulatorOverflow(MatlenError):

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over a prime field F_p.
 
-Field elements are canonical int residues in [0, p) with p < 2^20. Matrices
-are square, immutable, and backed by int64 numpy arrays; a product of two of
+Field elements are canonical int residues in [0, p) with p < 2^20
+(MAX_MODULUS), the cap under which the bounds below hold. Matrices are
+square, immutable, and backed by int64 numpy arrays; a product of two of
 them sums n terms below 2^40, so it is exact in int64 for every n < 2^23.
 
 SpanBasis has its own bound, stated and checked in `_accumulator_dtype`: it
@@ -49,10 +50,17 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or not _is_prime(p):
+        # The rule of Matrix and Polynomial: numpy integers are accepted and
+        # stored as int; bool, float and other objects are rejected, never truncated.
+        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+            raise ParseError(f"modulus must be an integer, got {type(p).__name__}")
+        p = int(p)
+        if not _is_prime(p):
             raise NotPrime(f"modulus {p!r} is not a prime number")
         if p > MAX_MODULUS:
-            raise ModulusTooLarge(f"modulus {p} exceeds the 2^20 root-scan cap")
+            raise ModulusTooLarge(
+                f"modulus {p} exceeds the 2^20 cap that keeps int64 and float64 arithmetic exact"
+            )
         self.p = p
 
     def __eq__(self, other: object) -> bool:
@@ -192,15 +200,46 @@ class Polynomial:
 
     def mul(self, other: Polynomial) -> Polynomial:
         _check_field(self.field, other.field)
-        if not self.coeffs or not other.coeffs:
-            return Polynomial.zero(self.field)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(self.field, out)
+        return Polynomial(self.field, _mul_coeffs(self.coeffs, other.coeffs))
+
+    def sub(self, other: Polynomial) -> Polynomial:
+        _check_field(self.field, other.field)
+        pad = max(len(self.coeffs), len(other.coeffs))
+        a = self.coeffs + (0,) * (pad - len(self.coeffs))
+        b = other.coeffs + (0,) * (pad - len(other.coeffs))
+        return Polynomial(self.field, [x - y for x, y in zip(a, b)])
+
+    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """Long division by a nonzero polynomial; returns (quotient, remainder)."""
+        _check_field(self.field, other.field)
+        q, r = _divmod_coeffs(list(self.coeffs), other.coeffs, self.field)
+        return Polynomial(self.field, q), Polynomial(self.field, r)
+
+    def gcd(self, other: Polynomial) -> Polynomial:
+        """Monic greatest common divisor by Euclid's algorithm (zero if both are zero)."""
+        _check_field(self.field, other.field)
+        a, b = self, other
+        while b.coeffs:
+            a, b = b, a.divmod(b)[1]
+        if not a.coeffs:
+            return a
+        lead_inv = self.field.inv(a.coeffs[-1])
+        return Polynomial(self.field, [c * lead_inv for c in a.coeffs])
+
+    def powmod(self, e: int, modulus: Polynomial) -> Polynomial:
+        """self^e mod modulus, by square-and-multiply with a reduction after each product."""
+        _check_field(self.field, modulus.field)
+        if e < 0:
+            raise ValueError(f"exponent must be non-negative, got {e}")
+        field = self.field
+        m = modulus.coeffs
+        base = _divmod_coeffs(list(self.coeffs), m, field)[1]
+        acc = _divmod_coeffs([1], m, field)[1]
+        for bit in bin(e)[2:]:
+            acc = _divmod_coeffs(_mul_coeffs(acc, acc), m, field)[1]
+            if bit == "1":
+                acc = _divmod_coeffs(_mul_coeffs(acc, base), m, field)[1]
+        return Polynomial(field, acc)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at a vector of points (used by the root scan)."""
@@ -235,6 +274,44 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(F_{self.field.p}, {list(self.coeffs)})"
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two ascending coefficient lists, not reduced mod p."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _divmod_coeffs(
+    a: list[int], b: Sequence[int], field: PrimeField
+) -> tuple[list[int], list[int]]:
+    """Long division of coefficient lists; a may hold any ints and is overwritten.
+
+    Returns the quotient and the remainder, both reduced mod p, the remainder
+    without trailing zeros.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    p = field.p
+    d = len(b) - 1
+    lead_inv = field.inv(b[-1])
+    low = b[:d]
+    q = [0] * max(len(a) - d, 0)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] * lead_inv % p
+        if c:
+            q[i - d] = c
+            a[i - d : i] = [x - c * y for x, y in zip(a[i - d : i], low)]
+    r = [x % p for x in a[:d]]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
 
 
 def _check_field(a: PrimeField, b: PrimeField) -> None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharPolyNotSplit, NotSplit
+from .errors import CharPolyNotSplit, FieldMismatch, NotSplit
 from .length import GeneratingSet
 from .linalg import Matrix, Polynomial, PrimeField, SpanBasis, mat_mul, rank, solve
 
@@ -79,19 +79,76 @@ def m_of_s(s: GeneratingSet) -> int:
     return max(minimal_polynomial(g).degree for g in s.gens)
 
 
+# split_roots scans every field element for roots while p <= SCAN_MAX_P and
+# splits algebraically above. Mean ms per call on fully split polynomials of
+# degree 3-12 (30 per prime, best of 3; 2-core x86 VM), scan / splitting:
+# p = 101: 0.024 / 0.59, 1021: 0.092 / 1.2, 4093: 0.23 / 1.4, 16381: 0.84 / 1.6,
+# 24989: 1.3 / 1.3, 32749: 2.5 / 1.2, 65521: 3.9 / 1.9, 262139: 17 / 2.1,
+# 1048573: 73 / 2.2. The scan grows with p, splitting with log p.
+SCAN_MAX_P = 25000
+
+
+def scan_roots(poly: Polynomial) -> list[int]:
+    """Distinct roots of poly in F_p, ascending, by evaluating it at every element.
+
+    The reference that `splitting_roots` is tested against.
+    """
+    xs = np.arange(poly.field.p, dtype=np.int64)
+    return xs[poly.eval_many(xs) == 0].tolist()
+
+
+def splitting_roots(poly: Polynomial) -> list[int]:
+    """Distinct roots of a nonzero poly in F_p, p odd, ascending, without a scan.
+
+    g = gcd(poly, x^p - x) is the product of poly's distinct linear factors.
+    Rabin's splitting then takes gcd(g, (x+a)^((p-1)/2) - 1) for a = 0, 1, 2, ...
+    (mod p) until the gcd is a proper factor, and splits both parts the same
+    way, going on from the next a, down to degree 1. Each pair of distinct
+    roots r, s is separated by at least (p-1)/2 of the p shifts (those where
+    exactly one of r+a, s+a is a nonzero square), so the search always ends,
+    and it uses no random numbers.
+    """
+    field = poly.field
+    p = field.p
+    if p == 2:
+        raise ValueError("Rabin splitting needs an odd prime")
+    x = Polynomial(field, (0, 1))
+    one = Polynomial.one(field)
+    half = (p - 1) // 2
+    roots: list[int] = []
+    todo = [(poly.gcd(x.powmod(p, poly).sub(x)), 0)]
+    while todo:
+        g, a = todo.pop()
+        if g.degree == 1:
+            roots.append(-g.coeffs[0] % p)
+            continue
+        if g.degree < 1:
+            continue
+        while True:
+            d = g.gcd(Polynomial(field, (a, 1)).powmod(half, g).sub(one))
+            a += 1
+            if 0 < d.degree < g.degree:
+                break
+        todo += [(d, a), (g.divmod(d)[0], a)]
+    roots.sort()
+    return roots
+
+
 def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
     """Factor the minimal polynomial into linear terms over F_p.
 
-    Scans every field element for roots (p <= 2^20 keeps this cheap), then
-    divides each root out to its full multiplicity by synthetic division.
-    Raises NotSplit if a nonlinear factor remains.
+    Finds the distinct roots with `scan_roots` while p <= SCAN_MAX_P and with
+    `splitting_roots` above, then divides each root out to its full
+    multiplicity by synthetic division. Raises NotSplit if a nonlinear factor
+    remains, and FieldMismatch if f is not the polynomial's field.
     """
     poly = mp.poly
-    xs = np.arange(f.p, dtype=np.int64)
-    root_vals = xs[poly.eval_many(xs) == 0]
+    if poly.field != f:
+        raise FieldMismatch(f"minimal polynomial over F_{poly.field.p}, roots asked in F_{f.p}")
+    root_vals = scan_roots(poly) if f.p <= SCAN_MAX_P else splitting_roots(poly)
     roots: list[tuple[int, int]] = []
     remaining = poly
-    for lam in root_vals.tolist():
+    for lam in root_vals:
         mult = 0
         while remaining.degree > 0:
             quot, rem = remaining.divmod_linear(lam)

@@ -131,6 +131,16 @@ class TestAnalyzeCommand:
         cert = record["certificates"]["0"]["2"]
         assert cert["achieved_rank"] == 2 and cert["degree"] == 1
 
+    @pytest.mark.parametrize("name", ["t10_n10_p1048573", "nonsplit_p1048573"])
+    def test_golden_large_field_report_bytes(self, name, tmp_path, monkeypatch):
+        # Over F_1048573 split_roots takes its algebraic path; the expected
+        # reports were written by the exhaustive scan. The input path is part
+        # of the report, so it is given relative to the fixtures directory.
+        monkeypatch.chdir(FIXTURES)
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--input", f"{name}.json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / f"{name}.analyze.json").read_bytes()
+
     def test_nonsplit_is_warning_not_error(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = main(["analyze", "--input", str(FIXTURES / "nonsplit_f7.json"), "--out", str(out)])

@@ -1,6 +1,7 @@
 """Exact arithmetic and span-basis primitives."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,22 @@ class TestPrimeField:
         for a in range(1, 7):
             assert F7.mul(a, F7.inv(a)) == 1
 
+    def test_numpy_integer_modulus_stored_as_int(self):
+        for p in (np.int64(101), np.uint16(101), np.int32(101)):
+            field = PrimeField(p)
+            assert type(field.p) is int
+            assert field == F101 and hash(field) == hash(F101)
+            assert json.dumps({"p": field.p}) == '{"p": 101}'
+
+    @pytest.mark.parametrize(
+        "p",
+        [True, np.bool_(True), 101.0, np.float64(101.0), "101", Fraction(101), None],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "str", "fraction", "none"],
+    )
+    def test_non_integer_modulus_rejected(self, p):
+        with pytest.raises(ParseError, match="must be an integer"):
+            PrimeField(p)
+
 
 class TestMatrixInput:
     def test_integer_arrays_and_lists_reduce_mod_p(self):
@@ -110,6 +127,52 @@ class TestPolynomialInput:
     def test_non_integer_coefficients_rejected(self, coeff):
         with pytest.raises(ParseError, match="must be integers"):
             Polynomial(F7, [1, coeff])
+
+
+def poly_strategy(max_degree: int):
+    return st.lists(st.integers(0, 100), max_size=max_degree + 1).map(lambda cs: Polynomial(F101, cs))
+
+
+class TestPolynomialArithmetic:
+    @settings(max_examples=60, deadline=None)
+    @given(a=poly_strategy(14), b=poly_strategy(8))
+    def test_divmod_reconstructs(self, a, b):
+        if b.degree < 0:
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(b)
+            return
+        q, r = a.divmod(b)
+        assert r.degree < b.degree
+        assert q.mul(b).sub(a.sub(r)) == Polynomial.zero(F101)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=poly_strategy(6), b=poly_strategy(6), c=poly_strategy(4))
+    def test_gcd_is_monic_common_divisor_of_greatest_degree(self, a, b, c):
+        ac, bc = a.mul(c), b.mul(c)
+        g = ac.gcd(bc)
+        if ac.degree < 0 and bc.degree < 0:
+            assert g == Polynomial.zero(F101)
+            return
+        assert g.is_monic()
+        assert ac.divmod(g)[1].degree < 0 and bc.divmod(g)[1].degree < 0
+        # c divides both, so it divides their greatest common divisor.
+        if c.degree >= 0:
+            assert g.divmod(c)[1].degree < 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(base=poly_strategy(5), e=st.integers(0, 40), m=poly_strategy(6))
+    def test_powmod_matches_repeated_products(self, base, e, m):
+        if m.degree < 0:
+            return
+        expected = Polynomial.one(F101)
+        for _ in range(e):
+            expected = expected.mul(base)
+        assert base.powmod(e, m) == expected.divmod(m)[1]
+
+    def test_powmod_rejects_negative_exponent(self):
+        x = Polynomial(F7, (0, 1))
+        with pytest.raises(ValueError):
+            x.powmod(-1, Polynomial(F7, (1, 0, 1)))
 
 
 class TestMatMul:

@@ -1,4 +1,6 @@
-"""Independent oracle: ranks over GF(p) from sympy, which shares no code with matlen.
+"""Independent oracles from sympy, which shares no code with matlen: ranks and
+RREF over GF(p) from `DomainMatrix`, and the factorization of minimal
+polynomials from `Poly(..., modulus=p).factor_list()`.
 
 Runs only where the optional `test` extra's sympy is installed.
 """
@@ -11,7 +13,12 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from matlen.linalg import Matrix, PrimeField, SpanBasis, rank  # noqa: E402
+from matlen.errors import NotSplit  # noqa: E402
+from matlen.instances import jordan_matrix, random_invertible, random_jordan_spec  # noqa: E402
+from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, rank, rref  # noqa: E402
+from matlen.spectral import minimal_polynomial, split_roots  # noqa: E402
+
+X = sympy.Symbol("x")
 
 
 def sympy_rank(rows: np.ndarray, p: int) -> int:
@@ -48,3 +55,66 @@ def test_rank(p, seed, n, r):
     rng = np.random.default_rng(seed)
     a = low_rank_stack(rng, p, n, n, r)
     assert rank(Matrix(PrimeField(p), a)) == sympy_rank(a, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 101, 1048573]), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       r=st.integers(1, 8))
+def test_rref(p, seed, n, r):
+    a = low_rank_stack(np.random.default_rng(seed), p, n, n, r)
+    reduced, pivots = rref(Matrix(PrimeField(p), a))
+    expected, expected_pivots = DomainMatrix.from_list(a.tolist(), sympy.GF(p)).rref()
+    assert reduced.entries.tolist() == [[int(e) % p for e in row] for row in expected.to_list()]
+    assert tuple(pivots) == tuple(expected_pivots)
+
+
+def spectral_test_matrix(rng, field: PrimeField, n: int, kind: str) -> Matrix:
+    """A conjugated Jordan matrix (split), a random matrix (mostly not split),
+    or a split Jordan part next to a random block (split or not)."""
+    p = field.p
+    if kind == "jordan":
+        a = jordan_matrix(field, random_jordan_spec(n, field, rng)).entries
+    elif kind == "random":
+        a = rng.integers(0, p, size=(n, n))
+    else:
+        k = int(rng.integers(1, n))
+        a = np.zeros((n, n), dtype=np.int64)
+        a[:k, :k] = jordan_matrix(field, random_jordan_spec(k, field, rng)).entries
+        a[k:, k:] = rng.integers(0, p, size=(n - k, n - k))
+    return conjugate(random_invertible(n, field, rng), Matrix(field, a))
+
+
+def sympy_matrix_eval(coeffs: list[int], a: np.ndarray, p: int) -> list[list[int]]:
+    """q(A) over GF(p) by Horner in sympy, q given by ascending coefficients."""
+    gf = sympy.GF(p)
+    dm = DomainMatrix.from_list(a.tolist(), gf)
+    ident = DomainMatrix.from_list(np.eye(len(a), dtype=int).tolist(), gf)
+    acc = DomainMatrix.from_list(np.zeros_like(a).tolist(), gf)
+    for c in reversed(coeffs):
+        acc = acc.matmul(dm) + ident * gf(c)
+    return [[int(e) % p for e in row] for row in acc.to_list()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([101, 1048573]), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
+       kind=st.sampled_from(["jordan", "random", "mixed"]))
+def test_minimal_polynomial_and_split_roots(p, seed, n, kind):
+    field = PrimeField(p)
+    a = spectral_test_matrix(np.random.default_rng(seed), field, n, kind)
+    mp = minimal_polynomial(a)
+    poly = sympy.Poly(list(reversed(mp.poly.coeffs)), X, modulus=p)
+    lead, factors = poly.factor_list()
+    assert lead == 1
+    # Minimal: it annihilates A, and no factor can be dropped.
+    zero = [[0] * n for _ in range(n)]
+    assert sympy_matrix_eval(list(mp.poly.coeffs), a.entries, p) == zero
+    for factor, _ in factors:
+        quotient = poly.exquo(factor)
+        coeffs = [int(c) % p for c in reversed(quotient.all_coeffs())]
+        assert sympy_matrix_eval(coeffs, a.entries, p) != zero
+    if any(factor.degree() > 1 for factor, _ in factors):
+        with pytest.raises(NotSplit):
+            split_roots(mp, field)
+        return
+    expected = sorted((-int(factor.all_coeffs()[1]) % p, mult) for factor, mult in factors)
+    assert split_roots(mp, field).roots == tuple(expected)

@@ -1,20 +1,29 @@
 """Minimal polynomials, split spectra, and Jordan profiles."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from matlen.errors import CharPolyNotSplit, NotSplit
+from matlen import spectral
+from matlen.errors import CharPolyNotSplit, FieldMismatch, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
 from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
 from matlen.spectral import (
+    SCAN_MAX_P,
     MinimalPolynomial,
     Spectrum,
     is_nonderogatory,
     jordan_profile,
     m_of_s,
     minimal_polynomial,
+    scan_roots,
     split_roots,
+    splitting_roots,
     unique_max_block,
 )
 
@@ -90,6 +99,11 @@ class TestSplitRoots:
         cube = q.mul(q).mul(q)
         assert split_roots(MinimalPolynomial(cube, 3), F11).roots == ((5, 3),)
 
+    def test_field_must_be_the_polynomials(self):
+        mp = MinimalPolynomial(Polynomial(F7, (2, 4, 1)), 2)
+        with pytest.raises(FieldMismatch):
+            split_roots(mp, F101)
+
     def test_reconstruction(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -104,6 +118,85 @@ class TestSplitRoots:
                     product = product.mul(factor)
             assert product == mp.poly
             assert sum(e for _, e in spectrum.roots) == mp.degree
+
+
+def is_prime(q: int) -> bool:
+    return q > 1 and all(q % d for d in range(2, int(q**0.5) + 1))
+
+
+LAST_SCANNED = next(q for q in range(SCAN_MAX_P, 1, -1) if is_prime(q))
+FIRST_SPLIT = next(q for q in itertools.count(SCAN_MAX_P + 1) if is_prime(q))
+
+
+@st.composite
+def root_test_polys(draw, primes):
+    """A prime and a nonzero polynomial over it: linear factors with multiplicity
+    1-3 (or up to 12 distinct simple ones) times random and irreducible extras."""
+    p = draw(st.sampled_from(primes))
+    field = PrimeField(p)
+    elems = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        roots = draw(st.lists(elems, min_size=1, max_size=min(12, p), unique=True))
+        factors = [(lam, 1) for lam in roots]
+        extras = []
+    else:
+        roots = draw(st.lists(elems, max_size=min(5, p), unique=True))
+        factors = [(lam, draw(st.integers(1, 3))) for lam in roots]
+        extras = draw(st.lists(st.lists(elems, min_size=3, max_size=4), max_size=2))
+        if draw(st.booleans()):
+            # x^2 - c for a non-square c: irreducible over F_p.
+            c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+            extras.append([-c, 0, 1])
+    poly = Polynomial(field, (draw(st.integers(1, p - 1)),))
+    for lam, mult in factors:
+        for _ in range(mult):
+            poly = poly.mul(Polynomial.x_minus(field, lam))
+    for cs in extras:
+        poly = poly.mul(Polynomial(field, cs[:-1] + [cs[-1] or 1]))
+    return field, poly
+
+
+class TestRootFinders:
+    """splitting_roots against the scan, which serves as its reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=root_test_polys([3, 5, 7, 101, FIRST_SPLIT, 1048573]))
+    def test_splitting_matches_scan(self, case):
+        _, poly = case
+        assert splitting_roots(poly) == scan_roots(poly)
+
+    def test_products_of_consecutive_roots_over_small_fields(self):
+        # x(x-1)...(x-lam) over F_3, F_5, F_7, up to every element a root.
+        for p in (3, 5, 7):
+            field = PrimeField(p)
+            full = Polynomial.one(field)
+            for lam in range(p):
+                full = full.mul(Polynomial.x_minus(field, lam))
+                assert splitting_roots(full) == list(range(lam + 1))
+
+    def test_constant_and_rootless(self):
+        field = PrimeField(101)
+        assert splitting_roots(Polynomial(field, (5,))) == []
+        assert splitting_roots(Polynomial(field, (2, 0, 1))) == []  # -2 is not a square mod 101
+
+    def test_needs_an_odd_prime(self):
+        with pytest.raises(ValueError):
+            splitting_roots(Polynomial(PrimeField(2), (0, 1, 1)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=root_test_polys([LAST_SCANNED, FIRST_SPLIT]))
+    def test_split_roots_same_on_both_paths(self, case):
+        field, poly = case
+        mp = MinimalPolynomial(poly, poly.degree)
+        outcomes = []
+        # The prime's own path, then the other one forced by moving the constant.
+        for limit in (SCAN_MAX_P, field.p - 1 if field.p <= SCAN_MAX_P else field.p):
+            with mock.patch.object(spectral, "SCAN_MAX_P", limit):
+                try:
+                    outcomes.append(split_roots(mp, field))
+                except NotSplit:
+                    outcomes.append(NotSplit)
+        assert outcomes[0] == outcomes[1]
 
 
 class TestJordanProfile:
