@@ -20,6 +20,7 @@ from .spectral import (
     Spectrum,
     jordan_profile,
     minimal_polynomial,
+    shifted_powers,
     split_roots,
     unique_max_block,
 )
@@ -33,9 +34,6 @@ class RankCertificate:
     degree: int
     achieved_rank: int
     witness: Matrix
-
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -59,47 +57,31 @@ class BoundLedger:
     def applicable(self) -> tuple[BoundEntry, ...]:
         return tuple(e for e in self.entries if e.applicable)
 
-    def tightest_applicable(self) -> int | None:
-        values = [e.bound_value for e in self.applicable()]
-        return min(values) if values else None
 
-
-def evaluate_exponents(a: Matrix, exponents: dict[int, int]) -> Matrix:
-    """Evaluate prod over lambda of (A - lambda I)^{a_lambda}."""
-    field = a.field
-    out = Matrix.identity(field, a.n)
-    for lam in sorted(exponents):
-        shifted = a.sub(Matrix.identity(field, a.n).scale(lam))
-        for _ in range(exponents[lam]):
-            out = mat_mul(out, shifted)
-    return out
-
-
-def find_rank_reduction(a: Matrix, spec: Spectrum, r_max: int) -> RankCertificate | None:
-    """Minimal-degree divisor-form certificate of rank <= r_max, or None.
+def find_rank_reduction(a: Matrix, spec: Spectrum, r_max: int) -> dict[int, RankCertificate]:
+    """Minimal-degree divisor-form certificates of rank <= r for r = 1..r_max.
 
     Enumerates exponent vectors 0 <= a_lambda <= e_lambda, excluding the
     all-zero vector and the full vector (which evaluates to zero), in order
     of increasing total degree with lexicographic tie-breaking on the
-    exponents under ascending eigenvalue order.
+    exponents under ascending eigenvalue order. Maps each budget r to the
+    first certificate of rank <= r, keys ascending; a budget with no
+    certificate is left out. One pass fills every budget: a witness of rank
+    r takes each empty budget from r to r_max, and the pass ends at the
+    first rank-1 witness, which fills whatever is left.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
     eigenvalues = spec.eigenvalues()
     mults = [e for _, e in spec.roots]
-    powers: dict[int, list[Matrix]] = {}
-    for lam, e_lam in spec.roots:
-        shifted = a.sub(Matrix.identity(a.field, a.n).scale(lam))
-        chain = [Matrix.identity(a.field, a.n)]
-        for _ in range(e_lam):
-            chain.append(mat_mul(chain[-1], shifted))
-        powers[lam] = chain
+    powers = shifted_powers(a, spec)
     vectors = [
         v
         for v in product(*(range(e + 1) for e in mults))
         if any(v) and any(vi < ei for vi, ei in zip(v, mults))
     ]
     vectors.sort(key=lambda v: (sum(v), v))
+    found: dict[int, RankCertificate] = {}
     for v in vectors:
         witness = Matrix.identity(a.field, a.n)
         for lam, exp in zip(eigenvalues, v):
@@ -108,14 +90,19 @@ def find_rank_reduction(a: Matrix, spec: Spectrum, r_max: int) -> RankCertificat
         if witness.is_zero():
             continue
         r = rank(witness)
-        if r <= r_max:
-            return RankCertificate(
-                exponents=tuple(zip(eigenvalues, v)),
-                degree=sum(v),
-                achieved_rank=r,
-                witness=witness,
-            )
-    return None
+        if r > r_max or r in found:
+            continue
+        cert = RankCertificate(
+            exponents=tuple(zip(eigenvalues, v)),
+            degree=sum(v),
+            achieved_rank=r,
+            witness=witness,
+        )
+        for budget in range(r, r_max + 1):
+            found.setdefault(budget, cert)
+        if r == 1:
+            break
+    return dict(sorted(found.items()))
 
 
 def pappacena_bound(r: int, k: int, n: int) -> int:
@@ -219,16 +206,7 @@ def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
         except NotSplit as exc:
             out.append(GeneratorAnalysis(i, mp.degree, None, None, str(exc)))
             continue
-        # The enumeration order does not depend on r_max, so when the r_max = 2
-        # search finds nothing or a rank-1 certificate, that is also the first
-        # rank <= 1 hit; only a rank-2 answer needs a second search.
-        certs = {}
-        two = find_rank_reduction(g, spec, 2)
-        if two is not None:
-            one = two if two.achieved_rank <= 1 else find_rank_reduction(g, spec, 1)
-            if one is not None:
-                certs[1] = one
-            certs[2] = two
+        certs = find_rank_reduction(g, spec, 2)
         out.append(GeneratorAnalysis(i, mp.degree, spec, profile, None, certs))
     return out
 

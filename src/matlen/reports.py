@@ -41,7 +41,7 @@ def parse_instance(obj: Any) -> GeneratingSet:
     p, n, matrices = obj["p"], obj["n"], obj["matrices"]
     if not isinstance(p, int):
         raise ParseError(f"p must be an integer, got {p!r}")
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"n must be a positive integer, got {n!r}")
     field = PrimeField(p)
     if not isinstance(matrices, list) or not matrices:

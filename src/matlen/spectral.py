@@ -44,9 +44,6 @@ class JordanProfile:
 
     blocks: dict[int, tuple[int, ...]]
 
-    def max_block(self, lam: int) -> int:
-        return self.blocks[lam][0]
-
 
 def minimal_polynomial(a: Matrix) -> MinimalPolynomial:
     """Monic minimal polynomial via the first Krylov dependence.
@@ -166,23 +163,31 @@ def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
     return Spectrum(roots=tuple(roots))
 
 
+def shifted_powers(a: Matrix, spec: Spectrum) -> dict[int, list[Matrix]]:
+    """(A - lambda I)^j for j = 0..e_lambda, per eigenvalue lambda of spec."""
+    identity = Matrix.identity(a.field, a.n)
+    out: dict[int, list[Matrix]] = {}
+    for lam, e_lam in spec.roots:
+        shifted = a.sub(identity.scale(lam))
+        chain = [identity]
+        for _ in range(e_lam):
+            chain.append(mat_mul(chain[-1], shifted))
+        out[lam] = chain
+    return out
+
+
 def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
     """Block-size multisets from the rank sequence of (A - lambda I)^j.
 
     For each eigenvalue, the count of blocks of size >= j is
     rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j).
     """
-    field = a.field
     n = a.n
     blocks: dict[int, tuple[int, ...]] = {}
     total = 0
-    for lam, e_lam in spec.roots:
-        shifted = a.sub(Matrix.identity(field, n).scale(lam))
-        ranks = [n]
-        power = Matrix.identity(field, n)
-        for _ in range(e_lam):
-            power = mat_mul(power, shifted)
-            ranks.append(rank(power))
+    for lam, chain in shifted_powers(a, spec).items():
+        e_lam = len(chain) - 1
+        ranks = [n] + [rank(power) for power in chain[1:]]
         at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
         sizes: list[int] = []
         for j in range(1, e_lam + 1):

@@ -118,7 +118,7 @@ def test_criterion_3_above_half_families():
             if not (rep.is_generating and rep.length <= 3 * n - 5):
                 bad_length += 1
             a = gs.gens[0]
-            cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 1)
+            cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 1).get(1)
             if cert is None or cert.achieved_rank != 1 or cert.degree > m - 1:
                 bad_certificate += 1
             else:
@@ -155,7 +155,7 @@ def test_criterion_4_window_families():
                 bad_length += 1
             if exact_pair:
                 a = gs.gens[0]
-                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 2)
+                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 2).get(2)
                 entry_ok = False
                 if cert is not None and cert.degree == t - 1:
                     ledger = bound_ledger(gs)
@@ -259,7 +259,7 @@ def test_criterion_7_certificate_soundness():
             spec = random_jordan_spec(5, F101, rng)
             a = conjugate(random_invertible(5, F101, rng), jordan_matrix(F101, spec))
             for r_max in (1, 2):
-                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), r_max)
+                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), r_max).get(r_max)
                 if cert is not None:
                     pool.append((a, cert))
     unsound = 0

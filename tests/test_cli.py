@@ -1,10 +1,14 @@
 """CLI surface: file formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import matlen
 from matlen.certificates import BoundEntry, BoundLedger
 from matlen.cli import main
 from matlen.errors import ParseError
@@ -65,6 +69,12 @@ class TestExitCodes:
         obj = {"schema": 1, "p": 10, "n": 1, "matrices": [[[1]]]}
         assert main(["length", "--input", write_instance(tmp_path, obj)]) == 2
 
+    def test_boolean_order_is_usage_error(self, tmp_path):
+        obj = {"schema": 1, "p": 7, "n": True, "matrices": [[[3]], [[2]]]}
+        with pytest.raises(ParseError, match="n must be a positive integer"):
+            parse_instance(obj)
+        assert main(["length", "--input", write_instance(tmp_path, obj)]) == 2
+
     def test_modulus_over_cap_is_unsupported(self, tmp_path):
         obj = {"schema": 1, "p": 1048583, "n": 1, "matrices": [[[1]]]}
         assert main(["length", "--input", write_instance(tmp_path, obj)]) == 3
@@ -86,6 +96,26 @@ class TestExitCodes:
 
     def test_t12_without_admissible_degree(self):
         assert main(["fuzz", "--count", "1", "--family", "T12", "--n", "2"]) == 3
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(matlen.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "matlen.cli", *args], capture_output=True, env=env, check=False
+        )
+
+    def test_analyze_writes_the_report_of_main(self, capsys):
+        args = ["analyze", "--input", str(FIXTURES / "t10_n4.json")]
+        assert main(args) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        proc = self.run_module(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == expected and expected
+
+    def test_missing_input_exits_2(self, tmp_path):
+        proc = self.run_module("analyze", "--input", str(tmp_path / "absent.json"))
+        assert proc.returncode == 2
 
 
 class TestLengthCommand:
@@ -221,7 +251,7 @@ class TestFuzzCommand:
         args = ["fuzz", "--count", "1", "--n", "3", "--jobs", "2", "--out", str(tmp_path / "r.json")]
         assert main(args) == 2
 
-    def test_length_once_per_instance_and_two_searches_per_generator(self, tmp_path, monkeypatch):
+    def test_length_once_per_instance_and_one_search_per_generator(self, tmp_path, monkeypatch):
         import matlen.certificates
         import matlen.cli
         import matlen.instances
@@ -255,7 +285,7 @@ class TestFuzzCommand:
         )
         assert summary["evaluated"] == 24
         assert calls["compute_length"] == summary["instances"] + summary["generation_retries"]
-        assert 0 < calls["find_rank_reduction"] <= 2 * split
+        assert calls["find_rank_reduction"] == split
 
     def test_csv_summary(self, tmp_path):
         out = tmp_path / "report.csv"

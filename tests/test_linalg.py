@@ -72,7 +72,7 @@ class TestPrimeField:
 
     def test_inverse_roundtrip(self):
         for a in range(1, 7):
-            assert F7.mul(a, F7.inv(a)) == 1
+            assert a * F7.inv(a) % 7 == 1
 
     def test_numpy_integer_modulus_stored_as_int(self):
         for p in (np.int64(101), np.uint16(101), np.int32(101)):
