@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 
-from .errors import InvalidK, NotSplit
+from .errors import CertificateMismatch, InvalidK, NotSplit
 from .length import GeneratingSet
 from .linalg import Matrix, mat_mul, rank
 from .spectral import (
@@ -58,51 +58,71 @@ class BoundLedger:
         return tuple(e for e in self.entries if e.applicable)
 
 
-def find_rank_reduction(a: Matrix, spec: Spectrum, r_max: int) -> dict[int, RankCertificate]:
+def find_rank_reduction(
+    a: Matrix, profile: JordanProfile, r_max: int
+) -> dict[int, RankCertificate]:
     """Minimal-degree divisor-form certificates of rank <= r for r = 1..r_max.
 
-    Enumerates exponent vectors 0 <= a_lambda <= e_lambda, excluding the
-    all-zero vector and the full vector (which evaluates to zero), in order
-    of increasing total degree with lexicographic tie-breaking on the
-    exponents under ascending eigenvalue order. Maps each budget r to the
-    first certificate of rank <= r, keys ascending; a budget with no
-    certificate is left out. One pass fills every budget: a witness of rank
-    r takes each empty budget from r to r_max, and the pass ends at the
-    first rank-1 witness, which fills whatever is left.
+    Ranks come from the Jordan profile, not from matrices: for mu != lambda,
+    A - mu I is invertible on the generalized eigenspace of lambda, so
+    rank prod (A - lambda I)^{a_lambda} = sum_lambda sum_{s in blocks(lambda)}
+    max(s - a_lambda, 0). With e_lambda the largest block, an exponent
+    a_lambda < e_lambda adds at least 1 to the rank, so a vector of rank
+    <= r_max has at most r_max exponents below their e_lambda and all the
+    others at it; only those vectors are searched, the all-zero one excluded.
+
+    Maps each budget r to the least vector by (total degree, exponents under
+    ascending eigenvalue order) among those of rank 1..r, keys ascending; a
+    budget with no certificate is left out. Only the distinct kept vectors
+    are evaluated as matrices, and each witness's rank is checked against the
+    profile's: CertificateMismatch if they differ.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
-    eigenvalues = spec.eigenvalues()
-    mults = [e for _, e in spec.roots]
-    powers = shifted_powers(a, spec)
-    vectors = [
-        v
-        for v in product(*(range(e + 1) for e in mults))
-        if any(v) and any(vi < ei for vi, ei in zip(v, mults))
-    ]
-    vectors.sort(key=lambda v: (sum(v), v))
-    found: dict[int, RankCertificate] = {}
-    for v in vectors:
+    eigenvalues = sorted(profile.blocks)
+    tops = [profile.blocks[lam][0] for lam in eigenvalues]
+    # Per eigenvalue: each exponent below the top, with its rank contribution.
+    options = []
+    for lam, top in zip(eigenvalues, tops):
+        contributions = ((x, sum(max(s - x, 0) for s in profile.blocks[lam])) for x in range(top))
+        options.append([(x, c) for x, c in contributions if c <= r_max])
+    least: dict[int, tuple[int, tuple[int, ...]]] = {}  # rank -> least (degree, v)
+    for size in range(1, min(r_max, len(eigenvalues)) + 1):
+        for below in combinations(range(len(eigenvalues)), size):
+            for picks in product(*(options[i] for i in below)):
+                r = sum(c for _, c in picks)
+                if r > r_max:
+                    continue
+                v = list(tops)
+                for i, (x, _) in zip(below, picks):
+                    v[i] = x
+                if not any(v):
+                    continue
+                key = (sum(v), tuple(v))
+                if r not in least or key < least[r]:
+                    least[r] = key
+    kept: dict[int, tuple[tuple[int, tuple[int, ...]], int]] = {}
+    for budget in range(1, r_max + 1):
+        hits = [(key, r) for r, key in least.items() if r <= budget]
+        if hits:
+            kept[budget] = min(hits)
+    distinct = dict(kept.values())
+    needed = [max((v[i] for _, v in distinct), default=0) for i in range(len(eigenvalues))]
+    powers = shifted_powers(a, [(lam, e) for lam, e in zip(eigenvalues, needed) if e])
+    certs: dict[tuple[int, tuple[int, ...]], RankCertificate] = {}
+    for (degree, v), r in distinct.items():
         witness = Matrix.identity(a.field, a.n)
         for lam, exp in zip(eigenvalues, v):
             if exp:
                 witness = mat_mul(witness, powers[lam][exp])
-        if witness.is_zero():
-            continue
-        r = rank(witness)
-        if r > r_max or r in found:
-            continue
-        cert = RankCertificate(
-            exponents=tuple(zip(eigenvalues, v)),
-            degree=sum(v),
-            achieved_rank=r,
-            witness=witness,
-        )
-        for budget in range(r, r_max + 1):
-            found.setdefault(budget, cert)
-        if r == 1:
-            break
-    return dict(sorted(found.items()))
+        got = rank(witness)
+        if got != r:
+            raise CertificateMismatch(
+                f"exponents {v} over eigenvalues {eigenvalues}: witness rank {got}, "
+                f"Jordan profile predicts {r}"
+            )
+        certs[degree, v] = RankCertificate(tuple(zip(eigenvalues, v)), degree, r, witness)
+    return {budget: certs[key] for budget, (key, _) in kept.items()}
 
 
 def pappacena_bound(r: int, k: int, n: int) -> int:
@@ -206,7 +226,7 @@ def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
         except NotSplit as exc:
             out.append(GeneratorAnalysis(i, mp.degree, None, None, str(exc)))
             continue
-        certs = find_rank_reduction(g, spec, 2)
+        certs = find_rank_reduction(g, profile, 2)
         out.append(GeneratorAnalysis(i, mp.degree, spec, profile, None, certs))
     return out
 

@@ -37,6 +37,10 @@ class CharPolyNotSplit(NotSplit):
     """Jordan block sizes do not account for the full order n."""
 
 
+class CertificateMismatch(MatlenError):
+    """A certificate's witness rank differs from the rank its Jordan profile predicts."""
+
+
 class EmptySet(MatlenError):
     """A generating set must contain at least one matrix."""
 

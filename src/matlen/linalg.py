@@ -581,13 +581,3 @@ class SpanBasis:
             grown = np.empty((cap, self.ambient_dim), dtype=self.dtype)
             grown[:d] = self._rows[:d]
             self._rows = grown
-
-
-def span_insert(basis: SpanBasis, m: Matrix) -> bool:
-    """Vectorize m row-major and insert into basis; True iff dim grew by 1."""
-    if m.n * m.n != basis.ambient_dim:
-        raise DimensionMismatch(
-            f"matrix order {m.n} does not vectorize into ambient {basis.ambient_dim}"
-        )
-    _check_field(m.field, basis.field)
-    return basis.insert(m.vec())

@@ -33,8 +33,9 @@ def parse_instance(obj: Any) -> GeneratingSet:
     """Validate a decoded instance object and build the generating set."""
     if not isinstance(obj, dict):
         raise ParseError(f"instance must be a JSON object, got {type(obj).__name__}")
-    if obj.get("schema") != INSTANCE_SCHEMA:
-        raise ParseError(f"unsupported instance schema {obj.get('schema')!r}")
+    schema = obj.get("schema")
+    if not isinstance(schema, int) or isinstance(schema, bool) or schema != INSTANCE_SCHEMA:
+        raise ParseError(f"unsupported instance schema {schema!r}")
     for key in ("p", "n", "matrices"):
         if key not in obj:
             raise ParseError(f"instance is missing the {key!r} key")

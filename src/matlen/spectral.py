@@ -7,12 +7,12 @@ as outside the supported regime (the generators never emit them).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CharPolyNotSplit, FieldMismatch, NotSplit
-from .length import GeneratingSet
 from .linalg import Matrix, Polynomial, PrimeField, SpanBasis, mat_mul, rank, solve
 
 
@@ -69,11 +69,6 @@ def minimal_polynomial(a: Matrix) -> MinimalPolynomial:
     assert coeffs is not None, "Krylov dependence must be solvable"
     poly = Polynomial(field, [(-int(c)) % field.p for c in coeffs] + [1])
     return MinimalPolynomial(poly=poly, degree=d)
-
-
-def m_of_s(s: GeneratingSet) -> int:
-    """Maximum minimal-polynomial degree over the generators."""
-    return max(minimal_polynomial(g).degree for g in s.gens)
 
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
@@ -163,11 +158,11 @@ def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
     return Spectrum(roots=tuple(roots))
 
 
-def shifted_powers(a: Matrix, spec: Spectrum) -> dict[int, list[Matrix]]:
-    """(A - lambda I)^j for j = 0..e_lambda, per eigenvalue lambda of spec."""
+def shifted_powers(a: Matrix, tops: Iterable[tuple[int, int]]) -> dict[int, list[Matrix]]:
+    """(A - lambda I)^j for j = 0..e, per pair (lambda, e) of tops."""
     identity = Matrix.identity(a.field, a.n)
     out: dict[int, list[Matrix]] = {}
-    for lam, e_lam in spec.roots:
+    for lam, e_lam in tops:
         shifted = a.sub(identity.scale(lam))
         chain = [identity]
         for _ in range(e_lam):
@@ -185,7 +180,7 @@ def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
     n = a.n
     blocks: dict[int, tuple[int, ...]] = {}
     total = 0
-    for lam, chain in shifted_powers(a, spec).items():
+    for lam, chain in shifted_powers(a, spec.roots).items():
         e_lam = len(chain) - 1
         ranks = [n] + [rank(power) for power in chain[1:]]
         at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
@@ -201,11 +196,6 @@ def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
             f"Jordan blocks cover {total} of {n} dimensions; characteristic polynomial does not split"
         )
     return JordanProfile(blocks=blocks)
-
-
-def is_nonderogatory(a: Matrix) -> bool:
-    """True iff the minimal polynomial degree equals the order n."""
-    return minimal_polynomial(a).degree == a.n
 
 
 def unique_max_block(profile: JordanProfile) -> tuple[int, int] | None:

@@ -32,9 +32,8 @@ from matlen.linalg import (
     conjugate,
     poly_eval,
     rank,
-    span_insert,
 )
-from matlen.spectral import jordan_profile, m_of_s, minimal_polynomial, split_roots
+from matlen.spectral import jordan_profile, minimal_polynomial, split_roots
 
 F101 = PrimeField(101)
 MASTER_SEED = 20240811
@@ -51,6 +50,10 @@ def _gate(name: str, ok: bool, detail: str) -> None:
 
 def _seed(*parts: int) -> int:
     return int(np.random.SeedSequence((MASTER_SEED,) + parts).generate_state(1, np.uint64)[0])
+
+
+def profile_of(a: Matrix):
+    return jordan_profile(a, split_roots(minimal_polynomial(a), F101))
 
 
 def paz_ceiling(n: int) -> int:
@@ -112,13 +115,13 @@ def test_criterion_3_above_half_families():
         for i in range(200):
             spec = derive_instance_spec(family, n, 101, _seed(3, n), i)
             gs = build_instance(spec)
-            m = m_of_s(gs)
+            m = max(minimal_polynomial(g).degree for g in gs.gens)
             seen_k[n].add(m - n // 2)
             rep = compute_length(gs)
             if not (rep.is_generating and rep.length <= 3 * n - 5):
                 bad_length += 1
             a = gs.gens[0]
-            cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 1).get(1)
+            cert = find_rank_reduction(a, profile_of(a), 1).get(1)
             if cert is None or cert.achieved_rank != 1 or cert.degree > m - 1:
                 bad_certificate += 1
             else:
@@ -155,7 +158,7 @@ def test_criterion_4_window_families():
                 bad_length += 1
             if exact_pair:
                 a = gs.gens[0]
-                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), 2).get(2)
+                cert = find_rank_reduction(a, profile_of(a), 2).get(2)
                 entry_ok = False
                 if cert is not None and cert.degree == t - 1:
                     ledger = bound_ledger(gs)
@@ -206,7 +209,7 @@ def test_criterion_5_invariance_suite():
         attempt += 1
         basis = SpanBasis(F101, n * n)
         for g in gs.gens:
-            span_insert(basis, g)
+            basis.insert(g.vec())
         if basis.contains(Matrix.identity(F101, n).vec()):
             continue
         shifted = GeneratingSet.of(
@@ -259,7 +262,7 @@ def test_criterion_7_certificate_soundness():
             spec = random_jordan_spec(5, F101, rng)
             a = conjugate(random_invertible(5, F101, rng), jordan_matrix(F101, spec))
             for r_max in (1, 2):
-                cert = find_rank_reduction(a, split_roots(minimal_polynomial(a), F101), r_max).get(r_max)
+                cert = find_rank_reduction(a, profile_of(a), r_max).get(r_max)
                 if cert is not None:
                     pool.append((a, cert))
     unsound = 0

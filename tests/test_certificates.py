@@ -4,6 +4,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matlen.certificates import (
     analyze_generators,
@@ -16,7 +18,7 @@ from matlen.certificates import (
     thm38_hypothesis,
 )
 from matlen.cli import derive_instance_spec
-from matlen.errors import GenerationRetriesExhausted, InvalidK
+from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, InvalidK
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
@@ -25,8 +27,14 @@ from matlen.instances import (
     random_invertible,
 )
 from matlen.length import GeneratingSet, compute_length
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval, rank
-from matlen.spectral import JordanProfile, minimal_polynomial, split_roots
+from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, mat_mul, poly_eval, rank
+from matlen.spectral import (
+    JordanProfile,
+    jordan_profile,
+    minimal_polynomial,
+    shifted_powers,
+    split_roots,
+)
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -34,6 +42,10 @@ F101 = PrimeField(101)
 
 def spectrum_of(a, field):
     return split_roots(minimal_polynomial(a), field)
+
+
+def profile_of(a, field):
+    return jordan_profile(a, spectrum_of(a, field))
 
 
 def divisor_poly(field, exponents):
@@ -64,24 +76,86 @@ def exhaustive_minimum(a, field, r_max):
     return best
 
 
+def matrix_enumeration(a, spec, r_max):
+    """Reference: every exponent vector 0 <= a_lambda <= e_lambda, one matrix rank each.
+
+    Walks the vectors in order of (total degree, exponents), skipping the
+    all-zero and the full vector, and maps each budget r to the first vector
+    of rank <= r. Exponential in the number of eigenvalues; the engine must
+    return the same certificates from the Jordan profile alone.
+    """
+    eigenvalues = spec.eigenvalues()
+    mults = [e for _, e in spec.roots]
+    powers = shifted_powers(a, spec.roots)
+    vectors = [
+        v
+        for v in product(*(range(e + 1) for e in mults))
+        if any(v) and any(vi < ei for vi, ei in zip(v, mults))
+    ]
+    vectors.sort(key=lambda v: (sum(v), v))
+    found = {}
+    for v in vectors:
+        witness = Matrix.identity(a.field, a.n)
+        for lam, exp in zip(eigenvalues, v):
+            if exp:
+                witness = mat_mul(witness, powers[lam][exp])
+        if witness.is_zero():
+            continue
+        r = rank(witness)
+        if r > r_max or r in found:
+            continue
+        for budget in range(r, r_max + 1):
+            found.setdefault(budget, (tuple(zip(eigenvalues, v)), sum(v), r))
+        if r == 1:
+            break
+    return dict(sorted(found.items()))
+
+
+def summary(certs):
+    return {r: (c.exponents, c.degree, c.achieved_rank) for r, c in certs.items()}
+
+
+@st.composite
+def conjugated_jordan(draw, max_n=8, max_eigenvalues=6):
+    """(field, A): a Jordan matrix with 1..max_eigenvalues eigenvalues, order <= max_n,
+    conjugated by a random invertible matrix."""
+    field = PrimeField(draw(st.sampled_from([7, 101])))
+    k = draw(st.integers(1, max_eigenvalues))
+    eigs = draw(st.lists(st.integers(0, field.p - 1), min_size=k, max_size=k, unique=True))
+    room = max_n - k  # dimensions left after one size-1 block per eigenvalue
+    blocks = []
+    for lam in eigs:
+        first = draw(st.integers(1, 1 + room))
+        room -= first - 1
+        blocks.append((lam, first))
+        while room > 0 and draw(st.booleans()):
+            size = draw(st.integers(1, room))
+            room -= size
+            blocks.append((lam, size))
+    order = draw(st.permutations(range(len(blocks))))
+    jordan = jordan_matrix(field, JordanSpec(tuple(blocks[i] for i in order)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return field, conjugate(random_invertible(jordan.n, field, seed), jordan)
+
+
 class TestFindRankReduction:
     def test_nilpotent_with_tail_block(self):
         a = jordan_matrix(F101, JordanSpec(((0, 3), (0, 1))))
-        cert = find_rank_reduction(a, spectrum_of(a, F101), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a, F101), 1).get(1)
         assert cert.exponents == ((0, 2),)
         assert cert.degree == 2 and cert.achieved_rank == 1
         assert cert.witness == Matrix.unit(F101, 4, 0, 2)
 
     def test_double_block_has_no_rank_one(self):
         a = jordan_matrix(F101, JordanSpec(((0, 2), (0, 2))))
-        spec = spectrum_of(a, F101)
-        assert find_rank_reduction(a, spec, 1).get(1) is None
-        cert = find_rank_reduction(a, spec, 2).get(2)
+        profile = profile_of(a, F101)
+        assert find_rank_reduction(a, profile, 1).get(1) is None
+        cert = find_rank_reduction(a, profile, 2).get(2)
         assert cert.exponents == ((0, 1),) and cert.degree == 1 and cert.achieved_rank == 2
 
     def test_two_eigenvalue_search_matches_exhaustion(self):
         a = jordan_matrix(F7, JordanSpec(((1, 3), (2, 2))))
-        cert = find_rank_reduction(a, spectrum_of(a, F7), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a, F7), 1).get(1)
         oracle = exhaustive_minimum(a, F7, 1)
         assert (cert.exponents, cert.degree, cert.achieved_rank) == oracle
         assert cert.exponents == ((1, 2), (2, 2))  # lexicographic winner at degree 4
@@ -94,7 +168,7 @@ class TestFindRankReduction:
             for _ in range(15):
                 spec = random_jordan_spec(n, F101, rng)
                 a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
-                s = spectrum_of(a, F101)
+                s = profile_of(a, F101)
                 oracles = {}
                 for r_max in (1, 2):
                     cert = find_rank_reduction(a, s, r_max).get(r_max)
@@ -110,12 +184,70 @@ class TestFindRankReduction:
                     r: (c.exponents, c.degree, c.achieved_rank) for r, c in both.items()
                 } == oracles
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=conjugated_jordan())
+    def test_matches_enumeration_and_oracle_on_jordan_profiles(self, case):
+        field, a = case
+        spec, profile = spectrum_of(a, field), profile_of(a, field)
+        oracle = {r: exhaustive_minimum(a, field, r) for r in range(1, 5)}
+        for r_max in range(1, 5):
+            got = find_rank_reduction(a, profile, r_max)
+            assert list(got) == sorted(got)
+            assert summary(got) == matrix_enumeration(a, spec, r_max)
+            assert summary(got) == {r: o for r, o in oracle.items() if r <= r_max and o is not None}
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=conjugated_jordan(), data=st.data())
+    def test_closed_form_rank_identity(self, case, data):
+        # rank prod (A - lambda I)^{a_lambda} = sum over blocks s of max(s - a_lambda, 0)
+        field, a = case
+        profile = profile_of(a, field)
+        exps = {lam: data.draw(st.integers(0, sizes[0] + 1)) for lam, sizes in sorted(profile.blocks.items())}
+        closed = sum(max(s - exps[lam], 0) for lam, sizes in profile.blocks.items() for s in sizes)
+        assert closed == rank(poly_eval(divisor_poly(field, exps.items()), a))
+
+    def test_witness_rank_checked_against_profile(self):
+        # A profile that does not belong to the matrix predicts a wrong rank.
+        a = jordan_matrix(F101, JordanSpec(((0, 3), (0, 1))))
+        with pytest.raises(CertificateMismatch):
+            find_rank_reduction(a, JordanProfile({0: (4,)}), 1)
+
+    def test_ranks_only_for_kept_witnesses(self, monkeypatch):
+        import matlen.certificates
+
+        calls = []
+
+        def counting_rank(m):
+            calls.append(m)
+            return rank(m)
+
+        a = conjugate(
+            random_invertible(8, F101, 5),
+            jordan_matrix(F101, JordanSpec(((1, 2), (2, 2), (3, 1), (4, 1), (5, 2)))),
+        )
+        profile = profile_of(a, F101)
+        monkeypatch.setattr(matlen.certificates, "rank", counting_rank)
+        certs = find_rank_reduction(a, profile, 4)
+        assert list(certs) == [1, 2, 3, 4]
+        assert len(calls) == len({c.exponents for c in certs.values()})
+
+    def test_many_eigenvalues_in_polynomial_time(self):
+        # 40 distinct eigenvalues: 2^40 exponent vectors, but at most two may
+        # sit below their block size for a rank <= 2 certificate.
+        eigs = list(range(1, 41))
+        a = jordan_matrix(F101, JordanSpec(tuple((lam, 1) for lam in eigs)))
+        certs = find_rank_reduction(a, profile_of(a, F101), 2)
+        assert summary(certs) == {
+            1: (tuple(zip(eigs, [0] + [1] * 39)), 39, 1),
+            2: (tuple(zip(eigs, [0, 0] + [1] * 38)), 38, 2),
+        }
+
     def test_soundness_by_independent_reevaluation(self):
         a = conjugate(
             random_invertible(5, F101, 99),
             jordan_matrix(F101, JordanSpec(((3, 2), (3, 1), (8, 2)))),
         )
-        cert = find_rank_reduction(a, spectrum_of(a, F101), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a, F101), 1).get(1)
         rebuilt = poly_eval(divisor_poly(F101, cert.exponents), a)
         assert rebuilt == cert.witness
         assert rank(rebuilt) == cert.achieved_rank
@@ -127,7 +259,7 @@ class TestFindRankReduction:
         for _ in range(20):
             spec = random_jordan_spec(4, F101, rng)
             a = jordan_matrix(F101, spec)
-            s = spectrum_of(a, F101)
+            s = profile_of(a, F101)
             c1, c2 = find_rank_reduction(a, s, 1).get(1), find_rank_reduction(a, s, 2).get(2)
             if c1 is not None:
                 assert c2 is not None and c2.degree <= c1.degree
@@ -207,8 +339,8 @@ class TestBoundLedger:
         gs = self.t12_set()
         analyses = analyze_generators(gs)
         ledger = bound_ledger(gs, analyses)
-        spec = analyses[0].spectrum
-        cert = find_rank_reduction(gs.gens[0], spec, 2).get(2)
+        profile = analyses[0].profile
+        cert = find_rank_reduction(gs.gens[0], profile, 2).get(2)
         name = f"pappacena_r{cert.achieved_rank}_gen0"
         entry = ledger.find(name)
         assert entry is not None and entry.applicable
@@ -216,7 +348,7 @@ class TestBoundLedger:
         for a in analyses:
             if a.spectrum is None:
                 continue
-            c1 = find_rank_reduction(gs.gens[a.index], a.spectrum, 1).get(1)
+            c1 = find_rank_reduction(gs.gens[a.index], a.profile, 1).get(1)
             if c1 is not None:
                 shitov = ledger.find(f"shitov_rank1_gen{a.index}")
                 assert shitov is not None

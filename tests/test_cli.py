@@ -75,6 +75,13 @@ class TestExitCodes:
             parse_instance(obj)
         assert main(["length", "--input", write_instance(tmp_path, obj)]) == 2
 
+    @pytest.mark.parametrize("schema", [True, 1.0, "1", None])
+    def test_non_integer_schema_is_usage_error(self, tmp_path, schema):
+        obj = {"schema": schema, "p": 7, "n": 1, "matrices": [[[3]]]}
+        with pytest.raises(ParseError, match="unsupported instance schema"):
+            parse_instance(obj)
+        assert main(["length", "--input", write_instance(tmp_path, obj)]) == 2
+
     def test_modulus_over_cap_is_unsupported(self, tmp_path):
         obj = {"schema": 1, "p": 1048583, "n": 1, "matrices": [[[1]]]}
         assert main(["length", "--input", write_instance(tmp_path, obj)]) == 3

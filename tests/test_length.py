@@ -16,7 +16,7 @@ from matlen.length import (
     compute_length,
     is_generating,
 )
-from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, mat_mul, span_insert
+from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, mat_mul
 
 F101 = PrimeField(101)
 
@@ -34,7 +34,7 @@ def all_words_dims(s: GeneratingSet, levels: int) -> list[int]:
             m = Matrix.identity(s.field, s.n)
             for g in word:
                 m = mat_mul(m, g)
-            span_insert(basis, m)
+            basis.insert(m.vec())
         dims.append(basis.dim())
     return dims
 
@@ -225,7 +225,7 @@ class TestInvariance:
             gs = random_generating_set(3, F101, 2, rng)
             basis = SpanBasis(F101, 9)
             for g in gs.gens:
-                span_insert(basis, g)
+                basis.insert(g.vec())
             if basis.contains(Matrix.identity(F101, 3).vec()):
                 continue
             shifted = GeneratingSet.of(

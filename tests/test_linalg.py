@@ -29,7 +29,6 @@ from matlen.linalg import (
     poly_eval,
     rank,
     rref,
-    span_insert,
 )
 
 F7 = PrimeField(7)
@@ -306,20 +305,20 @@ class TestPolyEval:
 class TestSpanBasis:
     def test_first_insert(self):
         basis = SpanBasis(F101, 4)
-        assert span_insert(basis, Matrix.identity(F101, 2))
+        assert basis.insert(Matrix.identity(F101, 2).vec())
         assert basis.dim() == 1
 
     def test_scalar_multiple_rejected(self):
         basis = SpanBasis(F101, 4)
-        span_insert(basis, Matrix.identity(F101, 2))
-        assert not span_insert(basis, Matrix.identity(F101, 2).scale(3))
+        basis.insert(Matrix.identity(F101, 2).vec())
+        assert not basis.insert(Matrix.identity(F101, 2).scale(3).vec())
         assert basis.dim() == 1
 
     def test_matrix_units_any_order(self):
         units = [Matrix.unit(F101, 2, i, j) for i in range(2) for j in range(2)]
         for perm in itertools.permutations(units):
             basis = SpanBasis(F101, 4)
-            grew = [span_insert(basis, u) for u in perm]
+            grew = [basis.insert(u.vec()) for u in perm]
             assert all(grew) and basis.dim() == 4
 
     def test_dimension_order_independent(self):
@@ -330,7 +329,7 @@ class TestSpanBasis:
         for _ in range(10):
             order = rng.permutation(len(mats))
             basis = SpanBasis(F101, 9)
-            grew = sum(span_insert(basis, mats[i]) for i in order)
+            grew = sum(basis.insert(mats[i].vec()) for i in order)
             dims.add(basis.dim())
             true_count.add(grew)
         assert len(dims) == 1 and true_count == dims
@@ -351,7 +350,7 @@ class TestSpanBasis:
     def test_dimension_mismatch(self):
         basis = SpanBasis(F101, 4)
         with pytest.raises(DimensionMismatch):
-            span_insert(basis, Matrix.identity(F101, 3))
+            basis.insert(Matrix.identity(F101, 3).vec())
 
     def test_accumulator_dtype_bounds(self):
         # float64 while ambient_dim * (p-1)^2 < 2^53, then int64 below 2^63.

@@ -17,9 +17,7 @@ from matlen.spectral import (
     SCAN_MAX_P,
     MinimalPolynomial,
     Spectrum,
-    is_nonderogatory,
     jordan_profile,
-    m_of_s,
     minimal_polynomial,
     scan_roots,
     split_roots,
@@ -71,16 +69,16 @@ class TestMinimalPolynomial:
 class TestMOfS:
     def test_identity_only(self):
         gs = GeneratingSet.of([Matrix.identity(F101, 3)])
-        assert m_of_s(gs) == 1
+        assert max(minimal_polynomial(g).degree for g in gs.gens) == 1
 
     def test_max_over_generators(self):
         a = J(F101, (0, 3), (0, 1))
         e12 = Matrix.unit(F101, 4, 0, 1)
-        assert m_of_s(GeneratingSet.of([a, e12])) == 3
+        assert max(minimal_polynomial(g).degree for g in (a, e12)) == 3
 
     def test_diag_and_block(self):
         gs = GeneratingSet.of([J(F7, (1, 1), (2, 1), (3, 1)), J(F7, (0, 3))])
-        assert m_of_s(gs) == 3
+        assert max(minimal_polynomial(g).degree for g in gs.gens) == 3
 
 
 class TestSplitRoots:
@@ -241,9 +239,9 @@ class TestJordanProfile:
 
 class TestPredicates:
     def test_nonderogatory(self):
-        assert is_nonderogatory(J(F101, (0, 4)))
-        assert not is_nonderogatory(Matrix.identity(F101, 2))
-        assert not is_nonderogatory(J(F7, (5, 2), (5, 2)))
+        cases = ((J(F101, (0, 4)), True), (Matrix.identity(F101, 2), False), (J(F7, (5, 2), (5, 2)), False))
+        for a, nonderogatory in cases:
+            assert (minimal_polynomial(a).degree == a.n) == nonderogatory
 
     def test_unique_max_block(self):
         from matlen.spectral import JordanProfile
