@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptySet, FieldMismatch
-from .linalg import Matrix, PrimeField, SpanBasis, mat_mul
+from .linalg import Matrix, PrimeField, SpanBasis, _rref_array, mat_mul
 
 BRUTE_FORCE_WORD_GUARD = 10**6
 # Candidate words per SpanBasis.insert_rows call. On random 2-generator sets
@@ -75,6 +75,8 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     Candidates are built and inserted BLOCK_ROWS words at a time, generator
     by generator in frontier order, through `SpanBasis.insert_rows`; the
     frontier is the same, in the same order, as one insert per candidate.
+    Once the span is full, the level's remaining blocks are neither built
+    nor inserted: no word can grow it, and no further level follows.
     """
     field, n = s.field, s.n
     full = n * n
@@ -92,17 +94,19 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
         grown = []
         seen: set[bytes] = set()
-        for g in gens:
-            for start in range(0, len(frontier), BLOCK_ROWS):
-                cands = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
-                fresh = []
-                for i, cand in enumerate(cands):
-                    key = cand.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(i)
-                block = cands[fresh]
-                grown.append(block[basis.insert_rows(block.reshape(len(fresh), full))])
+        blocks = ((g, start) for g in gens for start in range(0, len(frontier), BLOCK_ROWS))
+        for g, start in blocks:
+            if basis.dim() == full:
+                break
+            cands = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
+            fresh = []
+            for i, cand in enumerate(cands):
+                key = cand.tobytes()
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+            block = cands[fresh]
+            grown.append(block[basis.insert_rows(block.reshape(len(fresh), full))])
         dims.append(basis.dim())
         frontier = np.concatenate(grown)
         if not len(frontier):
@@ -126,7 +130,9 @@ def brute_force_length(s: GeneratingSet, max_len: int) -> LengthReport:
     """Independent oracle: enumerate ALL words of each exact length.
 
     No frontier pruning: level i rebuilds the span from scratch out of the
-    full cartesian products of generators up to length i. Guarded by
+    full cartesian products of generators up to length i, and takes its
+    dimension as the rank of the stacked words by plain Gauss-Jordan
+    (`_rref_array`), sharing no code with the span engine. Guarded by
     |gens|^max_len <= 10^6; also raises BudgetExceeded if the trace is still
     growing at the cap, since a truncated trace has no honest verdict.
     """
@@ -137,14 +143,14 @@ def brute_force_length(s: GeneratingSet, max_len: int) -> LengthReport:
     full = n * n
     dims: list[int] = []
     for level in range(max_len + 1):
-        basis = SpanBasis(field, full)
+        words = []
         for length in range(level + 1):
             for word in product(s.gens, repeat=length):
                 m = Matrix.identity(field, n)
                 for g in word:
                     m = mat_mul(m, g)
-                basis.insert(m.vec())
-        dims.append(basis.dim())
+                words.append(m.vec())
+        dims.append(len(_rref_array(np.stack(words), field)[1]))
         if dims[-1] == full:
             return LengthReport(
                 n=n,

@@ -5,9 +5,11 @@ Field elements are canonical int residues in [0, p) with p < 2^20
 square, immutable, and backed by int64 numpy arrays; a product of two of
 them sums n terms below 2^40, so it is exact in int64 for every n < 2^23.
 
-SpanBasis has its own bound, stated and checked in `_accumulator_dtype`: it
-works in float64, so that its products run through BLAS, while
-ambient_dim * (p-1)^2 < 2^53, and in int64 while that is below 2^63.
+SpanBasis stores only the free columns of its RREF basis, a d x
+(ambient_dim - d) block, and has its own bound, stated and checked in
+`_accumulator_dtype`: it works in float64, so that its products run through
+BLAS, while ambient_dim * (p-1)^2 < 2^53, and in int64 while that is below
+2^63.
 """
 
 from __future__ import annotations
@@ -394,30 +396,21 @@ def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
     return Matrix(field, acc)
 
 
-def solve(columns: np.ndarray, b: np.ndarray, field: PrimeField) -> np.ndarray | None:
-    """Solve columns @ x = b over F_p; None if inconsistent or underdetermined."""
-    m, k = columns.shape
-    aug = np.hstack([columns % field.p, (b % field.p).reshape(-1, 1)])
-    reduced, pivots = _rref_array(aug, field)
-    if k in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    if pivots != list(range(k)):
-        return None
-    x = np.zeros(k, dtype=np.int64)
-    x[:] = reduced[: len(pivots), k]
-    return x
 
 
-# Every product SpanBasis forms (reducing vectors against the basis, merging
-# new rows into it, and the candidate words compute_length builds from n x n
-# matrices) sums at most ambient_dim products of two residues in [0, p), each
-# partial sum an integer of magnitude below ambient_dim * (p-1)^2, and the
-# difference with a residue stays within that bound. float64 holds all such
-# integers exactly, whatever order BLAS sums them in, below 2^53 (every
-# n <= 90 at p < 2^20); int64 holds them below 2^63.
+# SpanBasis stores a basis of dimension d as R, its d x (ambient_dim - d)
+# block on the free columns, and forms three kinds of product: a block of
+# vectors reduced against the basis, v[free] - v[pivots] @ R, sums d <=
+# ambient_dim terms; the merge of k new rows, R[:, keep] - R[:, lp] @ new,
+# sums k <= ambient_dim terms; and each candidate word compute_length builds
+# from n x n matrices sums n <= ambient_dim terms. Each term is a product of
+# two residues in [0, p), so every partial sum is an integer of magnitude
+# below ambient_dim * (p-1)^2, and its difference with a residue stays within
+# that bound. float64 holds all such integers exactly, whatever order BLAS
+# sums them in, below 2^53 (every n <= 90 at p < 2^20); int64 holds them
+# below 2^63.
 FLOAT64_EXACT_BOUND = 1 << 53
 INT64_EXACT_BOUND = 1 << 63
-MERGE_ROWS = 256
 
 
 def _accumulator_dtype(ambient_dim: int, p: int) -> type:
@@ -432,25 +425,28 @@ def _accumulator_dtype(ambient_dim: int, p: int) -> type:
 
 
 class SpanBasis:
-    """Row-reduced basis of a subspace of F_p^{ambient_dim}.
+    """Row-reduced basis of a subspace of F_p^{ambient_dim}, stored as its free columns.
 
-    Each stored row has a 1 at its pivot column and 0 at every other row's
-    pivot column, so a vector reduces against the whole basis in one product:
-    its coordinate on a row is its entry at that row's pivot column. Rows are
-    stored in the order they were added, in the exact dtype chosen by
-    `_accumulator_dtype`; `rows` and `pivot_cols` sort them by pivot, which
-    is the unique RREF of the span.
+    The RREF of a span of dimension d is [I | R] up to a column permutation,
+    so only R is stored: `_r` is d x (ambient_dim - d), in the exact dtype
+    chosen by `_accumulator_dtype`. Row i has a 1 at `_pivots[i]`, a 0 at
+    every other pivot, and `_r[i]` on `_free`. A vector's coordinate on row i
+    is its entry at `_pivots[i]`, so it reduces against the whole basis in
+    one product, and its residue is zero on every pivot. Rows are kept in
+    the order they were added, `_free` ascending; `rows` and `pivot_cols`
+    sort them by pivot, which is the unique RREF of the span.
     """
 
-    __slots__ = ("field", "ambient_dim", "dtype", "_rows", "_pivots")
+    __slots__ = ("field", "ambient_dim", "dtype", "_pivots", "_free", "_r")
 
     def __init__(self, field: PrimeField, ambient_dim: int):
         self.field = field
         self.ambient_dim = int(ambient_dim)
         self.dtype = _accumulator_dtype(self.ambient_dim, field.p)
-        # Capacity grows by doubling; the first dim() rows are the basis.
-        self._rows = np.zeros((0, self.ambient_dim), dtype=self.dtype)
         self._pivots: list[int] = []
+        # None until the first row is added: every column is free.
+        self._free: np.ndarray | None = None
+        self._r = np.zeros((0, 0), dtype=self.dtype)
 
     def dim(self) -> int:
         return len(self._pivots)
@@ -458,8 +454,12 @@ class SpanBasis:
     @property
     def rows(self) -> np.ndarray:
         """The basis in RREF, rows sorted by pivot column, as int64."""
-        order = np.argsort(self._pivots)
-        return self._rows[order].astype(np.int64)
+        d = self.dim()
+        out = np.zeros((d, self.ambient_dim), dtype=np.int64)
+        if d:
+            out[np.arange(d), self._pivots] = 1
+            out[:, self._free] = self._r
+        return out[np.argsort(self._pivots)]
 
     @property
     def pivot_cols(self) -> tuple[int, ...]:
@@ -467,74 +467,31 @@ class SpanBasis:
 
     def reduce(self, vec: Sequence[int] | np.ndarray) -> np.ndarray:
         """Residue of vec after elimination against the basis."""
-        return self._eliminate(self._coerce(vec, ndim=1)).astype(np.int64)
+        v = self._coerce(vec, ndim=1)
+        if not self.dim():
+            return v.astype(np.int64)
+        out = np.zeros(self.ambient_dim, dtype=np.int64)
+        out[self._free] = self._residues(v[np.newaxis])[0]
+        return out
 
     def contains(self, vec: Sequence[int] | np.ndarray) -> bool:
         return not self.reduce(vec).any()
 
     def insert(self, vec: Sequence[int] | np.ndarray) -> bool:
-        """Insert vec if independent; returns True iff the dimension grew.
-
-        The sequential reference for `insert_rows`.
-        """
-        return self._append(self._eliminate(self._coerce(vec, ndim=1)))
+        """Insert vec if independent; returns True iff the dimension grew."""
+        return bool(self._insert_block(self._coerce(vec, ndim=1)[np.newaxis]))
 
     def insert_rows(self, block: Sequence[Sequence[int]] | np.ndarray) -> list[int]:
         """Insert the rows of block in order; returns the indices of those that grew the span.
 
-        Accepts exactly the rows, and leaves exactly the basis, that one
-        `insert` per row would, in three steps: one product reduces the whole
+        Accepts exactly the rows, and leaves exactly the basis, that inserting
+        them one at a time would, in three steps: one product reduces the whole
         block against the basis; a local elimination over the reduced rows, in
-        order, keeps those independent of the rows before them; one rank-r
-        product clears the new pivot columns from the basis before the kept
-        rows, in RREF, are appended.
+        order, keeps those independent of the rows before them; one rank-k
+        product clears the k new pivot columns from R, which drops them, and
+        the kept rows, in RREF, are stacked under it.
         """
-        p = self.field.p
-        b = self._coerce(block, ndim=2)
-        d = self.dim()
-        if d == self.ambient_dim:
-            return []
-        if d:
-            b -= b[:, self._pivots] @ self._rows[:d]
-            np.remainder(b, p, out=b)
-        # Local elimination in candidate order. new[:k] holds the rows kept so
-        # far, each reduced against those before it, so new[:k, pivots] is
-        # unit upper triangular; inv_u is its inverse, extended by one column
-        # per kept row, and a row's residue against new[:k] takes two products.
-        most = min(len(b), self.ambient_dim - d)
-        new = np.empty((most, self.ambient_dim), dtype=self.dtype)
-        inv_u = np.zeros((most, most), dtype=self.dtype)
-        pivots: list[int] = []
-        accepted: list[int] = []
-        for i, v in enumerate(b):
-            k = len(pivots)
-            if k:
-                coeffs = (v[pivots] @ inv_u[:k, :k]) % p
-                if coeffs.any():
-                    v = (v - coeffs @ new[:k]) % p
-            nz = np.flatnonzero(v)
-            if nz.size == 0:
-                continue
-            j = int(nz[0])
-            new[k] = (v * self.field.inv(int(v[j]))) % p
-            inv_u[:k, k] = -(inv_u[:k, :k] @ new[:k, j]) % p
-            inv_u[k, k] = 1
-            pivots.append(j)
-            accepted.append(i)
-        k = len(pivots)
-        if k:
-            # RREF of the kept rows: new[:, pivots] == I, zero at the basis pivots.
-            new = (inv_u[:k, :k] @ new[:k]) % p
-            self._reserve(k)
-            if d:
-                # In slices of rows, so the product's temporary stays small.
-                for lo in range(0, d, MERGE_ROWS):
-                    part = self._rows[lo : min(lo + MERGE_ROWS, d)]
-                    part -= part[:, pivots] @ new
-                    np.remainder(part, p, out=part)
-            self._rows[d : d + k] = new
-            self._pivots += pivots
-        return accepted
+        return self._insert_block(self._coerce(block, ndim=2))
 
     def _coerce(self, values, ndim: int) -> np.ndarray:
         """Vector (ndim 1) or block of rows (ndim 2) as residues in the basis dtype."""
@@ -546,38 +503,63 @@ class SpanBasis:
             )
         return v.astype(self.dtype)
 
-    def _eliminate(self, v: np.ndarray) -> np.ndarray:
-        """Residue of v (entries in [0, p), basis dtype) against the basis."""
-        d = self.dim()
-        if d:
-            coeffs = v[self._pivots]
-            if coeffs.any():
-                v = (v - coeffs @ self._rows[:d]) % self.field.p
-        return v
+    def _residues(self, b: np.ndarray) -> np.ndarray:
+        """Residues of the rows of b (residues, basis dtype) on the free columns; d > 0."""
+        res = b[:, self._free]
+        res -= b[:, self._pivots] @ self._r
+        np.remainder(res, self.field.p, out=res)
+        return res
 
-    def _append(self, v: np.ndarray) -> bool:
-        """Add the residue v as a new basis row unless it is zero."""
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
-            return False
+    def _insert_block(self, b: np.ndarray) -> list[int]:
         p = self.field.p
-        j = int(nz[0])
-        v = (v * self.field.inv(int(v[j]))) % p
         d = self.dim()
-        if d:
-            basis = self._rows[:d]
-            if basis[:, j].any():
-                basis -= np.outer(basis[:, j], v)
-                np.remainder(basis, p, out=basis)
-        self._reserve(1)
-        self._rows[d] = v
-        self._pivots.append(j)
-        return True
-
-    def _reserve(self, extra: int) -> None:
-        d = self.dim()
-        if d + extra > len(self._rows):
-            cap = min(self.ambient_dim, max(2 * len(self._rows), d + extra))
-            grown = np.empty((cap, self.ambient_dim), dtype=self.dtype)
-            grown[:d] = self._rows[:d]
-            self._rows = grown
+        if d == self.ambient_dim:
+            return []
+        free = self._free if d else np.arange(self.ambient_dim)
+        res = self._residues(b) if d else b
+        # Local elimination in candidate order, on the f free columns. new[:k]
+        # holds the rows kept so far, each reduced against those before it, so
+        # new[:k, lp] is unit upper triangular; inv_u is its inverse, extended
+        # by one column per kept row, and a row's residue against new[:k]
+        # takes two products.
+        f = len(free)
+        most = min(len(res), f)
+        new = np.empty((most, f), dtype=self.dtype)
+        inv_u = np.zeros((most, most), dtype=self.dtype)
+        lp: list[int] = []
+        accepted: list[int] = []
+        for i, v in enumerate(res):
+            k = len(lp)
+            if k:
+                coeffs = (v[lp] @ inv_u[:k, :k]) % p
+                if coeffs.any():
+                    v = (v - coeffs @ new[:k]) % p
+            nz = np.flatnonzero(v)
+            if nz.size == 0:
+                continue
+            j = int(nz[0])
+            new[k] = (v * self.field.inv(int(v[j]))) % p
+            inv_u[:k, k] = -(inv_u[:k, :k] @ new[:k, j]) % p
+            inv_u[k, k] = 1
+            lp.append(j)
+            accepted.append(i)
+        k = len(lp)
+        if k:
+            # The kept rows in RREF are I on lp and new_keep on the columns
+            # that stay free; each old row drops its lp entries by subtracting
+            # R[:, lp] @ [I | new_keep].
+            keep = np.delete(np.arange(f), lp)
+            new_keep = (inv_u[:k, :k] @ new[:k][:, keep]) % p
+            r = np.empty((d + k, f - k), dtype=self.dtype)
+            if d:
+                top = r[:d]
+                # keep holds valid indices; mode="clip" writes straight into
+                # top, where the default mode buffers a copy first.
+                np.take(self._r, keep, axis=1, out=top, mode="clip")
+                top -= self._r[:, lp] @ new_keep
+                np.remainder(top, p, out=top)
+            r[d:] = new_keep
+            self._r = r
+            self._pivots += free[lp].tolist()
+            self._free = free[keep]
+        return accepted

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharPolyNotSplit, FieldMismatch, NotSplit
-from .linalg import Matrix, Polynomial, PrimeField, SpanBasis, mat_mul, rank, solve
+from .linalg import Matrix, Polynomial, PrimeField, _rref_array, mat_mul, rank
 
 
 @dataclass(frozen=True)
@@ -48,26 +48,22 @@ class JordanProfile:
 def minimal_polynomial(a: Matrix) -> MinimalPolynomial:
     """Monic minimal polynomial via the first Krylov dependence.
 
-    Inserts vec(I), vec(A), vec(A^2), ... into a SpanBasis; the first power
-    that fails to grow the span is a linear combination of its predecessors,
-    and solving for the combination yields the polynomial's coefficients.
+    One Gauss-Jordan pass over the columns vec(I), vec(A), ..., vec(A^n).
+    Once A^d depends on I, ..., A^(d-1), so does every higher power, so the
+    pivots are 0..d-1 with d the degree, and column d of the RREF holds the
+    coordinates of A^d over I, ..., A^(d-1).
     """
-    field = a.field
-    n = a.n
-    basis = SpanBasis(field, n * n)
-    powers = [Matrix.identity(field, n)]
-    basis.insert(powers[0].vec())
-    current = powers[0]
-    while True:
-        current = mat_mul(a, current)
-        if not basis.insert(current.vec()):
-            break
-        powers.append(current)
-    d = len(powers)
-    columns = np.stack([m.vec() for m in powers], axis=1)
-    coeffs = solve(columns, current.vec(), field)
-    assert coeffs is not None, "Krylov dependence must be solvable"
-    poly = Polynomial(field, [(-int(c)) % field.p for c in coeffs] + [1])
+    field, n, p = a.field, a.n, a.field.p
+    # Each product sums n terms below p^2 < 2^40: exact in int64.
+    powers = np.empty((n + 1, n, n), dtype=np.int64)
+    powers[0] = np.eye(n, dtype=np.int64)
+    for i in range(n):
+        powers[i + 1] = (a.entries @ powers[i]) % p
+    reduced, pivots = _rref_array(powers.reshape(n + 1, n * n).T, field)
+    d = len(pivots)
+    if d > n or pivots != list(range(d)):
+        raise RuntimeError(f"Krylov pivots {pivots} of an order-{n} matrix are not a proper prefix")
+    poly = Polynomial(field, [(-int(c)) % p for c in reduced[:d, d]] + [1])
     return MinimalPolynomial(poly=poly, degree=d)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: file formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -253,6 +254,16 @@ class TestFuzzCommand:
             assert rc == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_seed3_campaign_report_is_pinned(self, tmp_path):
+        # Byte-identity gate for every engine change: the sha256 of this
+        # campaign's report as the full-row span engine wrote it.
+        out = tmp_path / "report.json"
+        args = ["fuzz", "--family", "RANDOM,T10,T12,THM39", "--n", "4,6,8,10", "--p", "101",
+                "--count", "15", "--seed", "3", "--out", str(out)]
+        assert main(args) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "7cb16a4d9a560510656ba7f1199750adc7a244be9df05ce78bdd13ca677ca945"
 
     def test_jobs_flag_is_gone(self, tmp_path):
         args = ["fuzz", "--count", "1", "--n", "3", "--jobs", "2", "--out", str(tmp_path / "r.json")]

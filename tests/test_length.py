@@ -17,6 +17,7 @@ from matlen.length import (
     is_generating,
 )
 from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, mat_mul
+from reference import FullRowBasis
 
 F101 = PrimeField(101)
 
@@ -27,7 +28,7 @@ def units_pair():
 
 def all_words_dims(s: GeneratingSet, levels: int) -> list[int]:
     """Test-side span trace that keeps going past stabilization."""
-    basis = SpanBasis(s.field, s.n * s.n)
+    basis = FullRowBasis(s.field, s.n * s.n)
     dims = []
     for level in range(levels + 1):
         for word in product(s.gens, repeat=level):
@@ -40,10 +41,10 @@ def all_words_dims(s: GeneratingSet, levels: int) -> list[int]:
 
 
 def sequential_length(s: GeneratingSet, max_levels: int | None = None) -> LengthReport:
-    """Test-side frontier loop: one SpanBasis.insert per candidate word."""
+    """Test-side frontier loop: one reference insert per candidate word."""
     full = s.n * s.n
     cap = full if max_levels is None else max_levels
-    basis = SpanBasis(s.field, full)
+    basis = FullRowBasis(s.field, full)
     identity = Matrix.identity(s.field, s.n)
     basis.insert(identity.vec())
     dims = [basis.dim()]
@@ -159,6 +160,25 @@ class TestBlockedEngine:
             assert rep == sequential_length(gs)
             stalled += not rep.is_generating
         assert stalled >= 12
+
+    @pytest.mark.parametrize("block_rows", [1, 5])
+    def test_no_insert_into_a_full_basis(self, block_rows, monkeypatch):
+        # Once the span is full, the level's remaining blocks are skipped.
+        monkeypatch.setattr(length, "BLOCK_ROWS", block_rows)
+        calls = []
+        insert_rows = SpanBasis.insert_rows
+
+        def spy(basis, block):
+            calls.append(basis.dim() < basis.ambient_dim)
+            return insert_rows(basis, block)
+
+        monkeypatch.setattr(SpanBasis, "insert_rows", spy)
+        rng = np.random.default_rng(19)
+        for n in range(2, 7):
+            for _ in range(4):
+                gs = random_generating_set(n, F101, 2, rng)
+                assert compute_length(gs) == sequential_length(gs)
+        assert calls and all(calls)
 
     def test_level_cap_matches_sequential(self):
         for gs in sweep_sets((3, 6, 9), seed=11):

@@ -30,6 +30,7 @@ from matlen.linalg import (
     rank,
     rref,
 )
+from reference import FullRowBasis
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -369,7 +370,7 @@ class TestSpanBasis:
         block = np.zeros((6, 8193), dtype=np.int64)
         block[:, rng.integers(0, 8193, size=40)] = rng.integers(0, big.p, size=(6, 40))
         block[3] = (block[0] * 5 + block[1]) % big.p
-        blocked, sequential = SpanBasis(big, 8193), SpanBasis(big, 8193)
+        blocked, sequential = SpanBasis(big, 8193), FullRowBasis(big, 8193)
         assert blocked.dtype == np.int64
         assert blocked.insert_rows(block) == [i for i, v in enumerate(block) if sequential.insert(v)]
         assert blocked.pivot_cols == sequential.pivot_cols
@@ -392,7 +393,7 @@ class TestSpanBasis:
         cuts=st.lists(st.integers(0, 150), max_size=3),
     )
     def test_insert_rows_matches_sequential_insert(self, p, ambient, seed, preloaded, size, cuts):
-        """insert_rows keeps exactly the rows, and leaves exactly the basis, of one insert per row."""
+        """insert_rows keeps exactly the rows, and leaves exactly the basis, of one reference insert per row."""
         field = PrimeField(p)
         rng = np.random.default_rng(seed)
         subspace = rng.integers(0, p, size=(max(1, ambient // 2), ambient))
@@ -414,7 +415,7 @@ class TestSpanBasis:
         # Unreduced representatives: a multiple of p up to 2^62 added to a third of the entries.
         block += p * rng.integers(-(2**62 // p), 2**62 // p, size=block.shape) * (rng.random(block.shape) < 1 / 3)
 
-        blocked, sequential = SpanBasis(field, ambient), SpanBasis(field, ambient)
+        blocked, sequential = SpanBasis(field, ambient), FullRowBasis(field, ambient)
         for v in rng.integers(0, p, size=(preloaded, ambient)):
             assert blocked.insert(v) == sequential.insert(v)
         accepted = []
@@ -428,6 +429,39 @@ class TestSpanBasis:
         assert blocked.pivot_cols == sequential.pivot_cols
         assert np.array_equal(blocked.rows, sequential.rows)
         assert blocked.rows.dtype == np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.sampled_from([2, 101, 1048573]),
+        ambient=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.integers(0, 12), min_size=1, max_size=12),
+    )
+    def test_mixed_inserts_match_reference(self, p, ambient, seed, ops):
+        """After every insert or insert_rows, the basis is the reference's and stores d x (N - d) entries."""
+        field = PrimeField(p)
+        rng = np.random.default_rng(seed)
+        subspace = rng.integers(0, p, size=(max(1, ambient // 3), ambient))
+        basis, reference = SpanBasis(field, ambient), FullRowBasis(field, ambient)
+        for size in ops:
+            # Half the rows from a fixed subspace, so that many are rejected.
+            block = np.where(
+                rng.random((size, 1)) < 0.5,
+                rng.integers(0, p, size=(size, len(subspace))) @ subspace % p,
+                rng.integers(0, p, size=(size, ambient)),
+            )
+            if size == 1 and rng.random() < 0.5:
+                assert basis.insert(block[0]) == reference.insert(block[0])
+            else:
+                assert basis.insert_rows(block) == [i for i, v in enumerate(block) if reference.insert(v)]
+            d = basis.dim()
+            assert d == reference.dim()
+            assert basis.pivot_cols == reference.pivot_cols
+            assert np.array_equal(basis.rows, reference.rows)
+            assert basis._r.size == d * (ambient - d)
+            for v in np.vstack([block, rng.integers(0, p, size=(2, ambient))]):
+                assert np.array_equal(basis.reduce(v), reference.reduce(v))
+                assert basis.contains(v) == reference.contains(v)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))

@@ -17,6 +17,7 @@ from matlen.errors import NotSplit  # noqa: E402
 from matlen.instances import jordan_matrix, random_invertible, random_jordan_spec  # noqa: E402
 from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, rank, rref  # noqa: E402
 from matlen.spectral import minimal_polynomial, split_roots  # noqa: E402
+from reference import KRYLOV_KINDS, krylov_minimal_polynomial, krylov_test_matrix  # noqa: E402
 
 X = sympy.Symbol("x")
 
@@ -95,6 +96,22 @@ def sympy_matrix_eval(coeffs: list[int], a: np.ndarray, p: int) -> list[list[int
     return [[int(e) % p for e in row] for row in acc.to_list()]
 
 
+def sympy_minimal_factors(mp, a: Matrix) -> list:
+    """Checks in sympy that mp is monic, annihilates a, and has no factor that can be
+    dropped; returns its factors with multiplicities."""
+    p, n = a.field.p, a.n
+    poly = sympy.Poly(list(reversed(mp.poly.coeffs)), X, modulus=p)
+    lead, factors = poly.factor_list()
+    assert lead == 1
+    zero = [[0] * n for _ in range(n)]
+    assert sympy_matrix_eval(list(mp.poly.coeffs), a.entries, p) == zero
+    for factor, _ in factors:
+        quotient = poly.exquo(factor)
+        coeffs = [int(c) % p for c in reversed(quotient.all_coeffs())]
+        assert sympy_matrix_eval(coeffs, a.entries, p) != zero
+    return factors
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.sampled_from([101, 1048573]), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7),
        kind=st.sampled_from(["jordan", "random", "mixed"]))
@@ -102,19 +119,20 @@ def test_minimal_polynomial_and_split_roots(p, seed, n, kind):
     field = PrimeField(p)
     a = spectral_test_matrix(np.random.default_rng(seed), field, n, kind)
     mp = minimal_polynomial(a)
-    poly = sympy.Poly(list(reversed(mp.poly.coeffs)), X, modulus=p)
-    lead, factors = poly.factor_list()
-    assert lead == 1
-    # Minimal: it annihilates A, and no factor can be dropped.
-    zero = [[0] * n for _ in range(n)]
-    assert sympy_matrix_eval(list(mp.poly.coeffs), a.entries, p) == zero
-    for factor, _ in factors:
-        quotient = poly.exquo(factor)
-        coeffs = [int(c) % p for c in reversed(quotient.all_coeffs())]
-        assert sympy_matrix_eval(coeffs, a.entries, p) != zero
+    factors = sympy_minimal_factors(mp, a)
     if any(factor.degree() > 1 for factor, _ in factors):
         with pytest.raises(NotSplit):
             split_roots(mp, field)
         return
     expected = sorted((-int(factor.all_coeffs()[1]) % p, mult) for factor, mult in factors)
     assert split_roots(mp, field).roots == tuple(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 101, 1048573]), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+       kind=st.sampled_from(KRYLOV_KINDS))
+def test_minimal_polynomial_on_derogatory_matrices(p, seed, n, kind):
+    a, _ = krylov_test_matrix(np.random.default_rng(seed), PrimeField(p), n, kind)
+    mp = minimal_polynomial(a)
+    sympy_minimal_factors(mp, a)
+    assert mp.poly.coeffs == krylov_minimal_polynomial(a)

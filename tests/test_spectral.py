@@ -24,6 +24,7 @@ from matlen.spectral import (
     splitting_roots,
     unique_max_block,
 )
+from reference import KRYLOV_KINDS, krylov_minimal_polynomial, krylov_test_matrix
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -57,6 +58,28 @@ class TestMinimalPolynomial:
                 mp = minimal_polynomial(a)
                 assert mp.poly.is_monic()
                 assert poly_eval(mp.poly, a).is_zero()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 7, 101, 1048573]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        kind=st.sampled_from(KRYLOV_KINDS),
+    )
+    def test_matches_sequential_krylov(self, p, seed, n, kind):
+        field = PrimeField(p)
+        a, degree = krylov_test_matrix(np.random.default_rng(seed), field, n, kind)
+        mp = minimal_polynomial(a)
+        assert mp.poly.coeffs == krylov_minimal_polynomial(a)
+        assert mp.degree == mp.poly.degree
+        if degree is not None:
+            assert mp.degree == degree
+
+    def test_non_prefix_pivots_are_an_error(self, monkeypatch):
+        # Pivots that skip a power cannot come from a Krylov sequence.
+        monkeypatch.setattr(spectral, "_rref_array", lambda arr, field: (arr, [0, 2]))
+        with pytest.raises(RuntimeError, match="not a proper prefix"):
+            minimal_polynomial(Matrix(F7, [[1, 0], [0, 2]]))
 
     def test_conjugation_invariant(self):
         rng = np.random.default_rng(23)
