@@ -190,7 +190,7 @@ def quadratic_minpoly_bound(n: int) -> int:
     return math.ceil(2 * math.log2(n)) if n > 1 else 0
 
 
-def _double_block_eigenvalue(profile: JordanProfile, n: int) -> int | None:
+def double_block_eigenvalue(profile: JordanProfile, n: int) -> int | None:
     """Eigenvalue lambda when the profile is exactly {lambda: [n/2, n/2]}."""
     if n % 2 or len(profile.blocks) != 1:
         return None
@@ -286,73 +286,53 @@ def bound_ledger(
         )
     )
 
+    def add_jordan_row(name, candidates, fallback, miss):
+        """Row of the least (value, generator, note) candidate, else an inapplicable one."""
+        if candidates:
+            value, idx, note = min(candidates)
+            entries.append(BoundEntry(name, value, True, f"generator {idx} {note}"))
+        else:
+            undecidable = "undecidable: some generator's spectrum does not split"
+            entries.append(BoundEntry(name, fallback, False, undecidable if any_nonsplit else miss))
+
+    split = [a for a in analyses if a.profile is not None]
     # Markova: a unique maximal Jordan block for some eigenvalue of some
     # generator gives 2n + deg - 3; pick the smallest resulting value.
-    markova_candidates = [
-        (2 * n + a.degree - 3, a.index)
-        for a in analyses
-        if a.profile is not None and unique_max_block(a.profile) is not None
+    markova = [
+        (2 * n + a.degree - 3, a.index, "has an eigenvalue with a unique maximal Jordan block")
+        for a in split
+        if unique_max_block(a.profile) is not None
     ]
-    if markova_candidates:
-        value, idx = min(markova_candidates)
-        entries.append(
-            BoundEntry(
-                "markova_unique_max_block",
-                value,
-                True,
-                f"generator {idx} has an eigenvalue with a unique maximal Jordan block",
-            )
-        )
-    else:
-        note = (
-            "undecidable: some generator's spectrum does not split"
-            if any_nonsplit
-            else "no generator has an eigenvalue with a unique maximal Jordan block"
-        )
-        entries.append(BoundEntry("markova_unique_max_block", 2 * n + m_s - 3, False, note))
-
-    deficiency_candidates = []
-    for a in analyses:
-        if a.profile is None:
-            continue
-        k = thm38_hypothesis(n, a.profile, a.degree)
-        if k is not None:
-            deficiency_candidates.append((2 * n - 2 + k, a.index, k))
-    if deficiency_candidates:
-        value, idx, k = min(deficiency_candidates)
-        entries.append(
-            BoundEntry(
-                "minpoly_deficiency",
-                value,
-                True,
-                f"generator {idx} has deficiency k={k} with 2k < n and per-eigenvalue slack",
-            )
-        )
-    else:
-        note = (
-            "undecidable: some generator's spectrum does not split"
-            if any_nonsplit
-            else "no generator satisfies the deficiency conditions"
-        )
-        entries.append(BoundEntry("minpoly_deficiency", 2 * n - 2 + max(n - m_s, 1), False, note))
-
-    double_idx = [
-        a.index
-        for a in analyses
-        if a.profile is not None and _double_block_eigenvalue(a.profile, n) is not None
+    add_jordan_row(
+        "markova_unique_max_block",
+        markova,
+        2 * n + m_s - 3,
+        "no generator has an eigenvalue with a unique maximal Jordan block",
+    )
+    deficiency = [
+        (2 * n - 2 + k, a.index, f"has deficiency k={k} with 2k < n and per-eigenvalue slack")
+        for a in split
+        if (k := thm38_hypothesis(n, a.profile, a.degree)) is not None
     ]
+    add_jordan_row(
+        "minpoly_deficiency",
+        deficiency,
+        2 * n - 2 + max(n - m_s, 1),
+        "no generator satisfies the deficiency conditions",
+    )
     if n % 2 == 0:
         value_39 = 5 * (n // 2) - 2
-        if double_idx:
-            note = f"generator {double_idx[0]} is similar to a shifted double Jordan block"
-            entries.append(BoundEntry("double_jordan_block", value_39, True, note))
-        else:
-            note = (
-                "undecidable: some generator's spectrum does not split"
-                if any_nonsplit
-                else "no generator similar to a double Jordan block of size n/2"
-            )
-            entries.append(BoundEntry("double_jordan_block", value_39, False, note))
+        double = [
+            (value_39, a.index, "is similar to a shifted double Jordan block")
+            for a in split
+            if double_block_eigenvalue(a.profile, n) is not None
+        ]
+        add_jordan_row(
+            "double_jordan_block",
+            double,
+            value_39,
+            "no generator similar to a double Jordan block of size n/2",
+        )
 
     # The 3n-5 route needs rank-one span level m(S)-1 >= 2 after clamping,
     # which fails only at n = 2 (m = 2, level 1, true bound 2n-2 = 2 > 1).

@@ -29,6 +29,7 @@ from .instances import (
     FAMILIES,
     InstanceSpec,
     JordanSpec,
+    admits_degree,
     build_instance_with_meta,
     random_generating_set,
     random_jordan_spec,
@@ -45,11 +46,15 @@ DEFAULT_P = 101
 _FAMILY_CODE = {name: i for i, name in enumerate(FAMILIES)}
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_orders(text: str) -> list[int]:
+    """The nonempty comma-separated list of matrix orders given to --n."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        ns = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise ParseError(f"expected a comma-separated integer list, got {text!r}") from exc
+    if not ns:
+        raise ParseError("--n must list at least one order")
+    return ns
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
@@ -62,26 +67,16 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
 
 
 def _admissible_params(family: str, n: int) -> list[int]:
-    """Hypothesis parameters to cycle through: k for T10/T11, t for T12/THM39."""
-    if family == "T10":
-        if n % 2 or n < 2:
-            raise FamilyHypothesisViolated(f"T10 needs even n >= 2, got {n}")
-        return list(range(1, n // 2 + 1))
-    if family == "T11":
-        if n % 2 == 0 or n < 3:
-            raise FamilyHypothesisViolated(f"T11 needs odd n >= 3, got {n}")
-        return list(range(1, (n - 1) // 2 + 2))
-    if family == "T12":
-        # t = 1 forces every generator to be scalar, which never generates.
-        ts = [t for t in range(2, n // 2 + 1) if 2 * t <= n <= 3 * t - 1]
-        if not ts:
-            raise FamilyHypothesisViolated(f"no admissible minimal-polynomial degree for T12 at n={n}")
-        return ts
-    if family == "THM39":
-        if n % 2 or n < 4:
-            raise FamilyHypothesisViolated(f"THM39 needs even n >= 4, got {n}")
-        return [n // 2]
-    return [0]
+    """Minimal-polynomial degrees m >= 2 to cycle through, ascending; [0] for RANDOM.
+
+    m = 1 makes the distinguished generator scalar, which never helps generate.
+    """
+    if family == "RANDOM":
+        return [0]
+    degrees = [m for m in range(2, n + 1) if admits_degree(family, n, m)]
+    if not degrees:
+        raise FamilyHypothesisViolated(f"no admissible minimal-polynomial degree for {family} at n={n}")
+    return degrees
 
 
 def derive_instance_spec(
@@ -94,17 +89,14 @@ def derive_instance_spec(
     spec_seed = int(state[1])
     field = PrimeField(p)
     params = _admissible_params(family, n)
-    param = params[index % len(params)]
+    m = params[index % len(params)]
     if family == "RANDOM":
         jordan = None
-    elif family in ("T10", "T11"):
-        m = n // 2 + param
-        jordan = random_jordan_spec(n, field, choice_rng, degree=m)
-    elif family == "T12":
-        jordan = random_jordan_spec(n, field, choice_rng, degree=param)
-    else:  # THM39
+    elif family == "THM39":
         lam = int(choice_rng.integers(0, p))
-        jordan = JordanSpec(blocks=((lam, param), (lam, param)))
+        jordan = JordanSpec(blocks=((lam, m), (lam, m)))
+    else:
+        jordan = random_jordan_spec(n, field, choice_rng, degree=m)
     # Low-degree families need a second companion: with m(S) = m, every word
     # through a rank-r polynomial insertion collapses into outer products, so
     # a pair spans at most ~m + r*m^2 dimensions; concentrated spectra in the
@@ -147,9 +139,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     for fam in families:
         if fam not in FAMILIES:
             raise ParseError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
-    ns = _parse_int_list(args.n)
-    if not ns:
-        raise ParseError("--n must list at least one order")
+    ns = _parse_orders(args.n)
     PrimeField(args.p)  # validate modulus up front
     for fam in families:
         for n in ns:
@@ -230,7 +220,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     else:
         if args.count < 1:
             raise EmptySet(f"count must be at least 1, got {args.count}")
-        ns = _parse_int_list(args.n)
+        ns = _parse_orders(args.n)
         field = PrimeField(args.p)
         sets = []
         index = 0

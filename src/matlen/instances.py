@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import t10_t11_hypothesis, t12_hypothesis
+from .certificates import double_block_eigenvalue, t10_t11_hypothesis, t12_hypothesis
 from .errors import (
     EmptySet,
     FamilyHypothesisViolated,
@@ -21,6 +21,7 @@ from .errors import (
 )
 from .length import GeneratingSet, LengthReport, compute_length
 from .linalg import Matrix, PrimeField, conjugate, rank
+from .spectral import JordanProfile
 
 FAMILIES = ("RANDOM", "T10", "T11", "T12", "THM39")
 MAX_RETRIES = 64
@@ -151,6 +152,22 @@ def _companion(n: int, f: PrimeField, max_degree: int, rng: np.random.Generator)
     return conjugate(p, jordan_matrix(f, spec))
 
 
+def admits_degree(family: str, n: int, m: int) -> bool:
+    """Whether a family's distinguished generator may have minimal-polynomial degree m.
+
+    T10 and T11 split the m > n/2 hypothesis of the 3n - 5 bound by the
+    parity of n (even, odd); T12 is the 2m <= n <= 3m - 1 window of the
+    7n/2 - 4 bound; THM39's two size-n/2 blocks for one eigenvalue give 2m = n.
+    """
+    if family in ("T10", "T11"):
+        return n % 2 == (family == "T11") and t10_t11_hypothesis(n, m) is not None
+    if family == "T12":
+        return t12_hypothesis(n, m)
+    if family == "THM39":
+        return 2 * m == n
+    raise FamilyHypothesisViolated(f"family {family!r} prescribes no minimal-polynomial degree")
+
+
 def check_family_hypothesis(family: str, n: int, jordan: JordanSpec | None) -> None:
     """Raise FamilyHypothesisViolated unless the tag's hypothesis holds."""
     if family not in FAMILIES:
@@ -162,21 +179,15 @@ def check_family_hypothesis(family: str, n: int, jordan: JordanSpec | None) -> N
     if jordan.order() != n:
         raise SizeMismatch(f"Jordan spec covers {jordan.order()} of {n} dimensions")
     m = jordan.minpoly_degree()
-    if family == "T10":
-        if n % 2 or t10_t11_hypothesis(n, m) is None:
-            raise FamilyHypothesisViolated(f"T10 needs even n and m > n/2, got n={n}, m={m}")
-    elif family == "T11":
-        if n % 2 == 0 or t10_t11_hypothesis(n, m) is None:
-            raise FamilyHypothesisViolated(f"T11 needs odd n and m > n/2, got n={n}, m={m}")
-    elif family == "T12":
-        if not t12_hypothesis(n, m):
-            raise FamilyHypothesisViolated(f"T12 needs 2m <= n <= 3m-1, got n={n}, m={m}")
-    elif family == "THM39":
-        multisets = jordan.block_multisets()
-        if n % 2 or len(multisets) != 1 or next(iter(multisets.values())) != (n // 2, n // 2):
-            raise FamilyHypothesisViolated(
-                f"THM39 needs exactly two size-n/2 blocks with one eigenvalue, got {jordan.blocks}"
-            )
+    if not admits_degree(family, n, m):
+        raise FamilyHypothesisViolated(
+            f"{family} does not admit minimal-polynomial degree {m} at n={n}"
+        )
+    profile = JordanProfile(jordan.block_multisets())
+    if family == "THM39" and double_block_eigenvalue(profile, n) is None:
+        raise FamilyHypothesisViolated(
+            f"THM39 needs exactly two size-n/2 blocks with one eigenvalue, got {jordan.blocks}"
+        )
 
 
 @dataclass

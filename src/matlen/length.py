@@ -75,8 +75,10 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     Candidates are built and inserted BLOCK_ROWS words at a time, generator
     by generator in frontier order, through `SpanBasis.insert_rows`; the
     frontier is the same, in the same order, as one insert per candidate.
-    Once the span is full, the level's remaining blocks are neither built
-    nor inserted: no word can grow it, and no further level follows.
+    A word repeated on a level lies in the span of its first copy, so the
+    basis rejects it like any other dependent word. Once the span is full,
+    the level's remaining blocks are neither built nor inserted: no word can
+    grow it, and no further level follows.
     """
     field, n = s.field, s.n
     full = n * n
@@ -93,20 +95,12 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
         if len(dims) - 1 >= cap:
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
         grown = []
-        seen: set[bytes] = set()
         blocks = ((g, start) for g in gens for start in range(0, len(frontier), BLOCK_ROWS))
         for g, start in blocks:
             if basis.dim() == full:
                 break
-            cands = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
-            fresh = []
-            for i, cand in enumerate(cands):
-                key = cand.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-            block = cands[fresh]
-            grown.append(block[basis.insert_rows(block.reshape(len(fresh), full))])
+            block = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
+            grown.append(block[basis.insert_rows(block.reshape(len(block), full))])
         dims.append(basis.dim())
         frontier = np.concatenate(grown)
         if not len(frontier):

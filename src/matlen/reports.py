@@ -78,15 +78,6 @@ def load_instance(path: str) -> GeneratingSet:
     return parse_instance(obj)
 
 
-def instance_to_json(gs: GeneratingSet) -> dict:
-    return {
-        "schema": INSTANCE_SCHEMA,
-        "p": gs.field.p,
-        "n": gs.n,
-        "matrices": [g.entries.tolist() for g in gs.gens],
-    }
-
-
 def length_report_to_json(rep: LengthReport) -> dict:
     return {
         "n": rep.n,

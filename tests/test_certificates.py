@@ -366,16 +366,22 @@ class TestBoundLedger:
                 for entry in bound_ledger(gs).applicable():
                     assert length <= entry.bound_value, (entry.name, length)
 
-    def test_undecidable_on_nonsplit(self):
+    @pytest.mark.parametrize(
+        "row", ["markova_unique_max_block", "minpoly_deficiency", "double_jordan_block"]
+    )
+    def test_undecidable_on_nonsplit(self, row):
         nonsplit = Matrix(F7, [[0, 6], [1, 0]])  # companion of x^2 + 1
         mate = Matrix(F7, [[1, 1], [0, 2]])
-        ledger = bound_ledger(GeneratingSet.of([nonsplit, mate]))
-        markova = ledger.find("markova_unique_max_block")
-        assert markova.applicable  # the mate still splits and qualifies
-        gs = GeneratingSet.of([nonsplit])
-        ledger = bound_ledger(gs)
-        assert not ledger.find("markova_unique_max_block").applicable
-        assert "undecidable" in ledger.find("markova_unique_max_block").hypothesis_note
+        mixed = bound_ledger(GeneratingSet.of([nonsplit, mate])).find(row)
+        # The mate still splits, and qualifies for Markova only.
+        assert mixed.applicable == (row == "markova_unique_max_block")
+        entry = bound_ledger(GeneratingSet.of([nonsplit])).find(row)
+        assert not entry.applicable
+        assert entry.hypothesis_note == "undecidable: some generator's spectrum does not split"
+        # With every spectrum split, a miss names the missing property instead.
+        two_scalars = Matrix(F7, np.diag([1, 1, 2, 2]))
+        miss = bound_ledger(GeneratingSet.of([two_scalars])).find(row)
+        assert not miss.applicable and miss.hypothesis_note.startswith("no generator")
 
 
 def test_stored_certificates_match_independent_searches():

@@ -11,8 +11,8 @@ import pytest
 
 import matlen
 from matlen.certificates import BoundEntry, BoundLedger
-from matlen.cli import main
-from matlen.errors import ParseError
+from matlen.cli import _admissible_params, main
+from matlen.errors import FamilyHypothesisViolated, ParseError
 from matlen.length import LengthReport
 from matlen.reports import collect_violations, parse_instance, report_to_csv
 
@@ -104,6 +104,31 @@ class TestExitCodes:
 
     def test_t12_without_admissible_degree(self):
         assert main(["fuzz", "--count", "1", "--family", "T12", "--n", "2"]) == 3
+
+    def test_oracle_check_without_orders(self):
+        assert main(["oracle-check", "--count", "1", "--n", ""]) == 2
+
+
+def paper_degrees(family, n):
+    """Minimal-polynomial degrees each family admits at order n, from the paper's conditions."""
+    if family == "T10":
+        return list(range(n // 2 + 1, n + 1)) if n % 2 == 0 else []
+    if family == "T11":
+        return list(range((n + 1) // 2, n + 1)) if n % 2 == 1 and n >= 3 else []
+    if family == "T12":
+        return [t for t in range(2, n + 1) if 2 * t <= n <= 3 * t - 1]
+    return [n // 2] if n % 2 == 0 and n >= 4 else []  # THM39
+
+
+@pytest.mark.parametrize("family", ["T10", "T11", "T12", "THM39"])
+def test_admissible_params_follow_the_paper(family):
+    for n in range(1, 17):
+        expected = paper_degrees(family, n)
+        if expected:
+            assert _admissible_params(family, n) == expected, n
+        else:
+            with pytest.raises(FamilyHypothesisViolated):
+                _admissible_params(family, n)
 
 
 class TestModuleEntryPoint:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from matlen.errors import FamilyHypothesisViolated, GenerationRetriesExhausted
 from matlen.instances import (
@@ -9,6 +11,7 @@ from matlen.instances import (
     JordanSpec,
     build_instance,
     build_instance_with_meta,
+    check_family_hypothesis,
     jordan_matrix,
     random_generating_set,
     random_invertible,
@@ -120,6 +123,50 @@ class TestBuildInstance:
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=1, seed=7, family="T10")
         result = build_instance_with_meta(spec)
         assert result.retries >= 0
+
+
+@st.composite
+def jordan_specs(draw):
+    """Jordan specs of order n <= 10 over 1-3 eigenvalues, blocks in random order."""
+    eigenvalues = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True))
+    remaining = draw(st.integers(1, 10))
+    blocks = []
+    while remaining:
+        size = draw(st.integers(1, remaining))
+        blocks.append((draw(st.sampled_from(eigenvalues)), size))
+        remaining -= size
+    return JordanSpec(tuple(blocks))
+
+
+def paper_hypothesis(family, blocks):
+    """Each family's hypothesis as the paper states it, from the raw block list."""
+    n = sum(size for _, size in blocks)
+    tops = {}
+    for lam, size in blocks:
+        tops[lam] = max(tops.get(lam, 0), size)
+    m = sum(tops.values())
+    if family == "T10":
+        return n % 2 == 0 and 2 * m > n
+    if family == "T11":
+        return n % 2 == 1 and n >= 3 and 2 * m > n  # n = 2t + 1 with t >= 1
+    if family == "T12":
+        return 2 * m <= n <= 3 * m - 1
+    # THM39: A is similar to a shifted double Jordan block of size n/2.
+    return len(blocks) == 2 and blocks[0][0] == blocks[1][0] and blocks[0][1] == blocks[1][1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(["T10", "T11", "T12", "THM39"]), jordan=jordan_specs())
+@example(family="THM39", jordan=JordanSpec(((3, 2), (3, 2))))
+@example(family="THM39", jordan=JordanSpec(((3, 2), (3, 1), (3, 1))))
+@example(family="T12", jordan=JordanSpec(((0, 2), (1, 1), (0, 2))))
+def test_check_family_hypothesis_matches_the_paper(family, jordan):
+    n = jordan.order()
+    if paper_hypothesis(family, jordan.blocks):
+        check_family_hypothesis(family, n, jordan)
+    else:
+        with pytest.raises(FamilyHypothesisViolated):
+            check_family_hypothesis(family, n, jordan)
 
 
 class TestStressModulus:
