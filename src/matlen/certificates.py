@@ -20,7 +20,6 @@ from .spectral import (
     Spectrum,
     jordan_profile,
     minimal_polynomial,
-    shifted_powers,
     split_roots,
     unique_max_block,
 )
@@ -74,8 +73,9 @@ def find_rank_reduction(
     Maps each budget r to the least vector by (total degree, exponents under
     ascending eigenvalue order) among those of rank 1..r, keys ascending; a
     budget with no certificate is left out. Only the distinct kept vectors
-    are evaluated as matrices, and each witness's rank is checked against the
-    profile's: CertificateMismatch if they differ.
+    are evaluated as matrices, each straight from its factors in deg(v)
+    products, and each witness's rank is checked against the profile's:
+    CertificateMismatch if they differ.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
@@ -106,15 +106,14 @@ def find_rank_reduction(
         hits = [(key, r) for r, key in least.items() if r <= budget]
         if hits:
             kept[budget] = min(hits)
-    distinct = dict(kept.values())
-    needed = [max((v[i] for _, v in distinct), default=0) for i in range(len(eigenvalues))]
-    powers = shifted_powers(a, [(lam, e) for lam, e in zip(eigenvalues, needed) if e])
+    identity = Matrix.identity(a.field, a.n)
     certs: dict[tuple[int, tuple[int, ...]], RankCertificate] = {}
-    for (degree, v), r in distinct.items():
-        witness = Matrix.identity(a.field, a.n)
+    for (degree, v), r in dict(kept.values()).items():
+        witness = identity
         for lam, exp in zip(eigenvalues, v):
-            if exp:
-                witness = mat_mul(witness, powers[lam][exp])
+            shifted = a.sub(identity.scale(lam))
+            for _ in range(exp):
+                witness = mat_mul(witness, shifted)
         got = rank(witness)
         if got != r:
             raise CertificateMismatch(
@@ -244,7 +243,6 @@ def bound_ledger(
     if analyses is None:
         analyses = analyze_generators(s)
     m_s = max(a.degree for a in analyses)
-    any_nonsplit = any(a.spectrum is None for a in analyses)
     entries: list[BoundEntry] = []
 
     entries.append(
@@ -262,39 +260,23 @@ def bound_ledger(
         applicable = False
     entries.append(BoundEntry("quadratic_minpoly", quadratic_minpoly_bound(n), applicable, note))
 
-    nonderog = [a.index for a in analyses if a.degree == n]
-    entries.append(
-        BoundEntry(
-            "nonderogatory",
-            2 * n - 2,
-            bool(nonderog),
-            f"generator {nonderog[0]} has minimal polynomial degree n"
-            if nonderog
-            else "no generator with minimal polynomial degree n",
-        )
-    )
-
-    near = [a.index for a in analyses if a.degree == n - 1]
-    entries.append(
-        BoundEntry(
-            "minpoly_degree_n_minus_1",
-            2 * n - 2,
-            bool(near),
-            f"generator {near[0]} has minimal polynomial degree n - 1"
-            if near
-            else "no generator with minimal polynomial degree n - 1",
-        )
-    )
-
-    def add_jordan_row(name, candidates, fallback, miss):
+    def add_row(name, candidates, fallback, miss):
         """Row of the least (value, generator, note) candidate, else an inapplicable one."""
         if candidates:
             value, idx, note = min(candidates)
             entries.append(BoundEntry(name, value, True, f"generator {idx} {note}"))
         else:
-            undecidable = "undecidable: some generator's spectrum does not split"
-            entries.append(BoundEntry(name, fallback, False, undecidable if any_nonsplit else miss))
+            entries.append(BoundEntry(name, fallback, False, miss))
 
+    for name, degree, text in (("nonderogatory", n, "n"), ("minpoly_degree_n_minus_1", n - 1, "n - 1")):
+        note = f"has minimal polynomial degree {text}"
+        hits = [(2 * n - 2, a.index, note) for a in analyses if a.degree == degree]
+        add_row(name, hits, 2 * n - 2, f"no generator with minimal polynomial degree {text}")
+
+    # The Jordan rows are undecidable while some generator's spectrum does not split.
+    undecidable = None
+    if any(a.spectrum is None for a in analyses):
+        undecidable = "undecidable: some generator's spectrum does not split"
     split = [a for a in analyses if a.profile is not None]
     # Markova: a unique maximal Jordan block for some eigenvalue of some
     # generator gives 2n + deg - 3; pick the smallest resulting value.
@@ -303,22 +285,22 @@ def bound_ledger(
         for a in split
         if unique_max_block(a.profile) is not None
     ]
-    add_jordan_row(
+    add_row(
         "markova_unique_max_block",
         markova,
         2 * n + m_s - 3,
-        "no generator has an eigenvalue with a unique maximal Jordan block",
+        undecidable or "no generator has an eigenvalue with a unique maximal Jordan block",
     )
     deficiency = [
         (2 * n - 2 + k, a.index, f"has deficiency k={k} with 2k < n and per-eigenvalue slack")
         for a in split
         if (k := thm38_hypothesis(n, a.profile, a.degree)) is not None
     ]
-    add_jordan_row(
+    add_row(
         "minpoly_deficiency",
         deficiency,
         2 * n - 2 + max(n - m_s, 1),
-        "no generator satisfies the deficiency conditions",
+        undecidable or "no generator satisfies the deficiency conditions",
     )
     if n % 2 == 0:
         value_39 = 5 * (n // 2) - 2
@@ -327,11 +309,11 @@ def bound_ledger(
             for a in split
             if double_block_eigenvalue(a.profile, n) is not None
         ]
-        add_jordan_row(
+        add_row(
             "double_jordan_block",
             double,
             value_39,
-            "no generator similar to a double Jordan block of size n/2",
+            undecidable or "no generator similar to a double Jordan block of size n/2",
         )
 
     # The 3n-5 route needs rank-one span level m(S)-1 >= 2 after clamping,

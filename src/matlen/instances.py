@@ -106,18 +106,17 @@ def random_invertible(n: int, f: PrimeField, seed) -> Matrix:
 
 
 def random_jordan_spec(
-    n: int, f: PrimeField, rng: np.random.Generator, degree: int | None = None, max_degree: int | None = None
+    n: int, f: PrimeField, rng: np.random.Generator, degree: int | None = None
 ) -> JordanSpec:
     """Random Jordan spec of order n with controlled minimal-polynomial degree.
 
-    With degree set, the implied degree is exactly that value; with
-    max_degree set, it is uniform-ish in [1, max_degree]. The minimal
-    polynomial is chosen first (distinct eigenvalues with exponents summing
-    to the degree), then filler blocks of admissible sizes pad the order.
+    With degree set, the implied degree is exactly that value; without it,
+    the degree is drawn uniformly from [1, n]. The minimal polynomial is
+    chosen first (distinct eigenvalues with exponents summing to the degree),
+    then filler blocks of admissible sizes pad the order.
     """
     if degree is None:
-        top = max_degree if max_degree is not None else n
-        degree = int(rng.integers(1, min(top, n) + 1))
+        degree = int(rng.integers(1, n + 1))
     if not 1 <= degree <= n:
         raise SizeMismatch(f"degree {degree} not in [1, {n}]")
     s = int(rng.integers(1, min(degree, f.p) + 1))

@@ -325,9 +325,9 @@ def _check_pair(a: Matrix, b: Matrix) -> None:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product over F_p."""
+    """Exact product over F_p; the constructor reduces the exact int64 product."""
     _check_pair(a, b)
-    return Matrix(a.field, (a.entries @ b.entries) % a.field.p)
+    return Matrix(a.field, a.entries @ b.entries)
 
 
 def _rref_array(arr: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:

@@ -7,7 +7,6 @@ as outside the supported regime (the generators never emit them).
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,19 +153,6 @@ def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
     return Spectrum(roots=tuple(roots))
 
 
-def shifted_powers(a: Matrix, tops: Iterable[tuple[int, int]]) -> dict[int, list[Matrix]]:
-    """(A - lambda I)^j for j = 0..e, per pair (lambda, e) of tops."""
-    identity = Matrix.identity(a.field, a.n)
-    out: dict[int, list[Matrix]] = {}
-    for lam, e_lam in tops:
-        shifted = a.sub(identity.scale(lam))
-        chain = [identity]
-        for _ in range(e_lam):
-            chain.append(mat_mul(chain[-1], shifted))
-        out[lam] = chain
-    return out
-
-
 def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
     """Block-size multisets from the rank sequence of (A - lambda I)^j.
 
@@ -174,11 +160,16 @@ def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
     rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j).
     """
     n = a.n
+    identity = Matrix.identity(a.field, n)
     blocks: dict[int, tuple[int, ...]] = {}
     total = 0
-    for lam, chain in shifted_powers(a, spec.roots).items():
-        e_lam = len(chain) - 1
-        ranks = [n] + [rank(power) for power in chain[1:]]
+    for lam, e_lam in spec.roots:
+        shifted = a.sub(identity.scale(lam))
+        power = identity
+        ranks = [n]
+        for _ in range(e_lam):
+            power = mat_mul(power, shifted)
+            ranks.append(rank(power))
         at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
         sizes: list[int] = []
         for j in range(1, e_lam + 1):

@@ -4,6 +4,7 @@
 over all columns; `krylov_minimal_polynomial` finds the first Krylov
 dependence power by power. Both work in int64: a reduction sums at most
 ambient_dim products below p^2, exact for every shape the tests use.
+`shifted_chain` builds the powers (A - lambda I)^j with plain numpy products.
 `krylov_test_matrix` draws the matrices the minimal polynomial is checked on.
 """
 
@@ -95,6 +96,16 @@ def krylov_minimal_polynomial(a: Matrix) -> tuple[int, ...]:
         rows.append(((v * inv) % p, (track * inv) % p, int(nz[0])))
         power = (power @ a.entries) % p
     raise AssertionError("no Krylov dependence among n + 1 powers")
+
+
+def shifted_chain(a: Matrix, lam: int, e: int) -> list[np.ndarray]:
+    """(A - lambda I)^j for j = 0..e as int64 arrays over F_p, one power at a time."""
+    p, n = a.field.p, a.n
+    shifted = (a.entries - lam * np.eye(n, dtype=np.int64)) % p
+    chain = [np.eye(n, dtype=np.int64)]
+    for _ in range(e):
+        chain.append((chain[-1] @ shifted) % p)
+    return chain
 
 
 KRYLOV_KINDS = ("random", "scalar", "zero", "repeated")

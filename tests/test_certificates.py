@@ -32,9 +32,9 @@ from matlen.spectral import (
     JordanProfile,
     jordan_profile,
     minimal_polynomial,
-    shifted_powers,
     split_roots,
 )
+from reference import shifted_chain
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -86,7 +86,7 @@ def matrix_enumeration(a, spec, r_max):
     """
     eigenvalues = spec.eigenvalues()
     mults = [e for _, e in spec.roots]
-    powers = shifted_powers(a, spec.roots)
+    chains = {lam: shifted_chain(a, lam, e) for lam, e in spec.roots}
     vectors = [
         v
         for v in product(*(range(e + 1) for e in mults))
@@ -95,10 +95,10 @@ def matrix_enumeration(a, spec, r_max):
     vectors.sort(key=lambda v: (sum(v), v))
     found = {}
     for v in vectors:
-        witness = Matrix.identity(a.field, a.n)
+        evaluated = np.eye(a.n, dtype=np.int64)
         for lam, exp in zip(eigenvalues, v):
-            if exp:
-                witness = mat_mul(witness, powers[lam][exp])
+            evaluated = (evaluated @ chains[lam][exp]) % a.field.p
+        witness = Matrix(a.field, evaluated)
         if witness.is_zero():
             continue
         r = rank(witness)
@@ -230,6 +230,30 @@ class TestFindRankReduction:
         certs = find_rank_reduction(a, profile, 4)
         assert list(certs) == [1, 2, 3, 4]
         assert len(calls) == len({c.exponents for c in certs.values()})
+
+    def test_witnesses_built_from_their_own_factors(self, monkeypatch):
+        # Each distinct kept witness costs at most deg(v) products, with no
+        # chain of powers built first, in this module or in spectral.
+        import matlen.certificates
+        import matlen.spectral
+
+        calls = []
+
+        def counting_mat_mul(x, y):
+            calls.append((x, y))
+            return mat_mul(x, y)
+
+        a = conjugate(
+            random_invertible(8, F101, 5),
+            jordan_matrix(F101, JordanSpec(((1, 3), (2, 2), (3, 1), (4, 1), (5, 1)))),
+        )
+        profile = profile_of(a, F101)
+        monkeypatch.setattr(matlen.certificates, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(matlen.spectral, "mat_mul", counting_mat_mul)
+        certs = find_rank_reduction(a, profile, 4)
+        distinct = {c.exponents: c.degree for c in certs.values()}
+        assert len(distinct) > 1
+        assert 0 < len(calls) <= sum(distinct.values())
 
     def test_many_eigenvalues_in_polynomial_time(self):
         # 40 distinct eigenvalues: 2^40 exponent vectors, but at most two may

@@ -12,7 +12,7 @@ from matlen import spectral
 from matlen.errors import CharPolyNotSplit, FieldMismatch, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
+from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval, rank
 from matlen.spectral import (
     SCAN_MAX_P,
     MinimalPolynomial,
@@ -253,6 +253,25 @@ class TestJordanProfile:
                 mp = minimal_polynomial(a)
                 prof = self.profile_of(a, F101)
                 assert mp.degree == sum(sizes[0] for sizes in prof.blocks.values())
+
+    def test_one_rank_per_power(self, monkeypatch):
+        # One running power per eigenvalue: rank is called exactly sum e_lambda times.
+        calls = []
+
+        def counting_rank(m):
+            calls.append(m)
+            return rank(m)
+
+        rng = np.random.default_rng(47)
+        for n in range(2, 9):
+            spec = random_jordan_spec(n, F101, rng)
+            a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
+            roots = split_roots(minimal_polynomial(a), F101)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "rank", counting_rank)
+                jordan_profile(a, roots)
+            assert len(calls) == sum(e for _, e in roots.roots)
 
     def test_spectrum_missing_an_eigenvalue_is_rejected(self):
         # diag(1, 2) with only the root 1: the blocks cover 1 of 2 dimensions.
