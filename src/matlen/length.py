@@ -13,12 +13,14 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptySet, FieldMismatch
-from .linalg import Matrix, PrimeField, SpanBasis, _rref_array, mat_mul
+from .linalg import Matrix, PrimeField, SpanBasis, _reduce, _rref_array, mat_mul
 
 BRUTE_FORCE_WORD_GUARD = 10**6
 # Candidate words per SpanBasis.insert_rows call. On random 2-generator sets
-# over F_101 (2-core x86 VM), 128 ran n = 24-48 faster than 64, and as fast as
-# 256 up to n = 32 with less peak memory.
+# over F_101 (2-core x86 VM, three runs each), 64, 128 and 256 ran the
+# benchmark's n = 16-32 mix at 26.6-26.9, 25.9-27.1 and 24.2-24.4 sets/s,
+# and one n = 48 set in 0.65-0.68, 0.64-0.69 and 0.66-0.75 s. No size won
+# at every n, so 128 stays.
 BLOCK_ROWS = 128
 
 
@@ -99,7 +101,7 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
         for g, start in blocks:
             if basis.dim() == full:
                 break
-            block = np.remainder(g @ frontier[start : start + BLOCK_ROWS], field.p)
+            block = _reduce(g @ frontier[start : start + BLOCK_ROWS], field.p)
             grown.append(block[basis.insert_rows(block.reshape(len(block), full))])
         dims.append(basis.dim())
         frontier = np.concatenate(grown)

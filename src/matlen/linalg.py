@@ -8,8 +8,10 @@ them sums n terms below 2^40, so it is exact in int64 for every n < 2^23.
 SpanBasis stores only the free columns of its RREF basis, a d x
 (ambient_dim - d) block, and has its own bound, stated and checked in
 `_accumulator_dtype`: it works in float64, so that its products run through
-BLAS, while ambient_dim * (p-1)^2 < 2^53, and in int64 while that is below
-2^63.
+BLAS, while ambient_dim * (p-1)^2 + p <= 2^53, and in int64 while
+ambient_dim * (p-1)^2 is below 2^63. Its float64 blocks are reduced by
+`_reduce`, x - p * floor(x / p), which is exact for integers |x| <= 2^53 - p;
+the `+ p` in the float64 rule is that precondition.
 """
 
 from __future__ import annotations
@@ -29,6 +31,22 @@ from .errors import (
 )
 
 MAX_MODULUS = 1 << 20
+
+
+def _int64_entries(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr as int64, for integer input only.
+
+    bool, float, complex and object arrays (the latter is what numpy makes of
+    ints beyond uint64) are rejected rather than truncated, and so are uint64
+    values above int64's max.
+    """
+    if arr.dtype == np.int64:
+        return arr
+    if arr.dtype.kind not in "iu" or (
+        arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max
+    ):
+        raise ParseError(f"{what} must be integers that fit in int64, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def _is_prime(p: int) -> bool:
@@ -92,18 +110,7 @@ class Matrix:
             raise DimensionMismatch(f"expected a square array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionMismatch("matrix order must be at least 1")
-        if arr.dtype != np.int64:
-            # Integer input only: bool, float, complex and object arrays (the
-            # latter is what numpy makes of ints beyond uint64) are rejected
-            # rather than truncated, and so are uint64 values above int64's max.
-            if arr.dtype.kind not in "iu" or (
-                arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max
-            ):
-                raise ParseError(
-                    f"matrix entries must be integers that fit in int64, got dtype {arr.dtype}"
-                )
-            arr = arr.astype(np.int64)
-        arr = arr % field.p
+        arr = _int64_entries(arr, "matrix entries") % field.p
         arr.flags.writeable = False
         self.field = field
         self.n = int(arr.shape[0])
@@ -407,21 +414,53 @@ def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
 # two residues in [0, p), so every partial sum is an integer of magnitude
 # below ambient_dim * (p-1)^2, and its difference with a residue stays within
 # that bound. float64 holds all such integers exactly, whatever order BLAS
-# sums them in, below 2^53 (every n <= 90 at p < 2^20); int64 holds them
-# below 2^63.
+# sums them in, below 2^53, and `_reduce` maps them exactly to [0, p) while
+# they are at most 2^53 - p: hence float64 while ambient_dim * (p-1)^2 + p <=
+# 2^53 (every n <= 90 at p < 2^20). int64 holds them below 2^63.
 FLOAT64_EXACT_BOUND = 1 << 53
 INT64_EXACT_BOUND = 1 << 63
 
 
 def _accumulator_dtype(ambient_dim: int, p: int) -> type:
     worst = ambient_dim * (p - 1) ** 2
-    if worst < FLOAT64_EXACT_BOUND:
+    if worst + p <= FLOAT64_EXACT_BOUND:
         return np.float64
     if worst < INT64_EXACT_BOUND:
         return np.int64
     raise AccumulatorOverflow(
         f"ambient dimension {ambient_dim} over F_{p}: sums up to {worst} exceed int64"
     )
+
+
+# _reduce works through a float64 array in slices along its first axis of
+# about this many entries, so that each slice's quotient (256 KiB) stays in
+# cache: on a 2048 x 2048 array (2-core x86 VM) this ran 3-4x faster than
+# one whole-array pass, which also needs a temporary as large as the array.
+REDUCE_CHUNK = 1 << 15
+
+
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce x mod p in place and return it: int64 by np.remainder, float64 by divide-and-floor.
+
+    Precondition for float64: every entry is an integer with |x| <= 2^53 - p.
+    Write x = m*p + r with 0 <= r < p. The true quotient x/p = m + r/p is m
+    itself when r = 0, exactly representable since |m| < 2^53; otherwise it
+    lies at least 1/p away from both m and m + 1. A correctly rounded
+    division errs by at most half an ulp of |x/p|, below |x/p| * 2^-53 <
+    1/p, and rounding is monotonic, so floor(x / p) is exactly m. Then
+    |m*p| = |x - r| <= 2^53 - 1 is exact, and so is x - m*p = r.
+    (Multiplying by a rounded 1/p instead carries no such guarantee.)
+    """
+    if x.dtype != np.float64:
+        return np.remainder(x, p, out=x)
+    rows = max(1, REDUCE_CHUNK * len(x) // max(x.size, 1))
+    for start in range(0, len(x), rows):
+        part = x[start : start + rows]
+        q = part / p
+        np.floor(q, out=q)
+        q *= p
+        part -= q
+    return x
 
 
 class SpanBasis:
@@ -494,21 +533,41 @@ class SpanBasis:
         return self._insert_block(self._coerce(block, ndim=2))
 
     def _coerce(self, values, ndim: int) -> np.ndarray:
-        """Vector (ndim 1) or block of rows (ndim 2) as residues in the basis dtype."""
-        # Reduced in int64 first: a float64 conversion of larger integers is inexact.
-        v = np.asarray(values, dtype=np.int64) % self.field.p
+        """Vector (ndim 1) or block of rows (ndim 2) as residues in the basis dtype.
+
+        Integer input is reduced in int64, since a float64 conversion of larger
+        integers is inexact. float64 input is accepted only when every entry
+        is an integer within `_reduce`'s bound, and is reduced in float64
+        unless it already lies in [0, p), as compute_length's blocks do; then
+        the result is values itself, which callers must only read. Any other
+        input (bool, complex, object, other floats, uint64 beyond int64) is
+        rejected, never truncated.
+        """
+        p = self.field.p
+        v = np.asarray(values)
         if v.ndim != ndim or v.shape[-1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"shape {v.shape} does not match ambient dimension {self.ambient_dim}"
             )
-        return v.astype(self.dtype)
+        if v.dtype != np.float64:
+            return (_int64_entries(v, "vector entries") % p).astype(self.dtype, copy=False)
+        bound = FLOAT64_EXACT_BOUND - p
+        # initial=0 admits an empty block and moves no test below; NaN
+        # propagates, and every comparison with it is False.
+        lo, hi = v.min(initial=0.0), v.max(initial=0.0)
+        if not (-bound <= lo and hi <= bound and (np.floor(v) == v).all()):
+            raise ParseError(
+                f"float64 vector entries must be integers of magnitude at most 2^53 - {p}"
+            )
+        if lo < 0 or hi >= p:
+            v = _reduce(v.copy(), p)
+        return v.astype(self.dtype, copy=False)
 
     def _residues(self, b: np.ndarray) -> np.ndarray:
         """Residues of the rows of b (residues, basis dtype) on the free columns; d > 0."""
         res = b[:, self._free]
         res -= b[:, self._pivots] @ self._r
-        np.remainder(res, self.field.p, out=res)
-        return res
+        return _reduce(res, self.field.p)
 
     def _insert_block(self, b: np.ndarray) -> list[int]:
         p = self.field.p
@@ -521,7 +580,8 @@ class SpanBasis:
         # holds the rows kept so far, each reduced against those before it, so
         # new[:k, lp] is unit upper triangular; inv_u is its inverse, extended
         # by one column per kept row, and a row's residue against new[:k]
-        # takes two products.
+        # takes two products. Once k == f the kept rows span every free
+        # column, so each later row is dependent and the loop stops.
         f = len(free)
         most = min(len(res), f)
         new = np.empty((most, f), dtype=self.dtype)
@@ -530,6 +590,8 @@ class SpanBasis:
         accepted: list[int] = []
         for i, v in enumerate(res):
             k = len(lp)
+            if k == f:
+                break
             if k:
                 coeffs = (v[lp] @ inv_u[:k, :k]) % p
                 if coeffs.any():
@@ -549,7 +611,7 @@ class SpanBasis:
             # that stay free; each old row drops its lp entries by subtracting
             # R[:, lp] @ [I | new_keep].
             keep = np.delete(np.arange(f), lp)
-            new_keep = (inv_u[:k, :k] @ new[:k][:, keep]) % p
+            new_keep = _reduce(inv_u[:k, :k] @ new[:k][:, keep], p)
             r = np.empty((d + k, f - k), dtype=self.dtype)
             if d:
                 top = r[:d]
@@ -557,7 +619,7 @@ class SpanBasis:
                 # top, where the default mode buffers a copy first.
                 np.take(self._r, keep, axis=1, out=top, mode="clip")
                 top -= self._r[:, lp] @ new_keep
-                np.remainder(top, p, out=top)
+                _reduce(top, p)
             r[d:] = new_keep
             self._r = r
             self._pivots += free[lp].tolist()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matlen.errors import (
@@ -23,6 +23,7 @@ from matlen.linalg import (
     Polynomial,
     PrimeField,
     SpanBasis,
+    _reduce,
     conjugate,
     mat_inverse,
     mat_mul,
@@ -354,7 +355,8 @@ class TestSpanBasis:
             basis.insert(Matrix.identity(F101, 3).vec())
 
     def test_accumulator_dtype_bounds(self):
-        # float64 while ambient_dim * (p-1)^2 < 2^53, then int64 below 2^63.
+        # float64 while ambient_dim * (p-1)^2 + p <= 2^53 (the bound of
+        # _reduce), then int64 while ambient_dim * (p-1)^2 < 2^63.
         big = PrimeField(1048573)
         assert SpanBasis(big, 90 * 90).dtype == np.float64
         assert SpanBasis(big, 8192).dtype == np.float64
@@ -363,6 +365,8 @@ class TestSpanBasis:
         assert SpanBasis(big, 8388672).dtype == np.int64
         with pytest.raises(AccumulatorOverflow):
             SpanBasis(big, 8388673)
+        assert SpanBasis(PrimeField(2), 2**53 - 2).dtype == np.float64
+        assert SpanBasis(PrimeField(2), 2**53 - 1).dtype == np.int64
 
     def test_int64_path_matches_sequential(self):
         big = PrimeField(1048573)
@@ -384,6 +388,10 @@ class TestSpanBasis:
             basis.insert_rows(np.zeros(4, dtype=np.int64))
 
     @settings(max_examples=80, deadline=None)
+    # Blocks longer than the free column count, once with the span filling
+    # on the way.
+    @example(p=101, ambient=6, seed=0, preloaded=4, size=40, cuts=[])
+    @example(p=2, ambient=3, seed=1, preloaded=0, size=150, cuts=[75])
     @given(
         p=st.sampled_from([2, 101, 1048573]),
         ambient=st.integers(1, 24),
@@ -463,6 +471,18 @@ class TestSpanBasis:
                 assert np.array_equal(basis.reduce(v), reference.reduce(v))
                 assert basis.contains(v) == reference.contains(v)
 
+    def test_full_span_stops_the_local_elimination(self, monkeypatch):
+        """A block whose first row fills the span does no per-row work on the rows after it."""
+        basis = SpanBasis(F101, 4)
+        basis.insert_rows(np.eye(4, dtype=np.int64)[:3])
+        block = np.random.default_rng(3).integers(0, 101, size=(100, 4))
+        block[0] = [5, 0, 2, 1]
+        rows_examined = []
+        flatnonzero = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: rows_examined.append(1) or flatnonzero(a))
+        assert basis.insert_rows(block) == [0]
+        assert basis.dim() == 4 and len(rows_examined) == 1
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4))
     def test_membership_after_insert(self, seed, n):
@@ -473,3 +493,79 @@ class TestSpanBasis:
             basis.insert(v)
         for v in vecs:
             assert basis.contains(v)
+
+
+class TestSpanBasisInput:
+    @pytest.mark.parametrize("method", ["insert", "insert_rows", "reduce", "contains"])
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [True, False, True],
+            [1.9, 0.5, 0],
+            [0.2, 0.3, 0.1],
+            [float(2**53), 0, 0],
+            [float("nan"), 0, 0],
+            [float("inf"), 0, 0],
+            np.array([1, 2, 3], dtype=np.float32),
+            [1 + 0j, 0, 0],
+            np.array([1, 2, 3], dtype=object),
+            [2**70, 0, 0],
+            np.array([2**63, 0, 0], dtype=np.uint64),
+        ],
+        ids=[
+            "bool", "float", "fraction-float", "float-beyond-2^53-p", "nan", "inf",
+            "float32", "complex", "object", "beyond-uint64", "beyond-int64",
+        ],
+    )
+    def test_non_integer_or_oversized_entries_rejected(self, method, vec):
+        basis = SpanBasis(F7, 3)
+        basis.insert([1, 0, 0])
+        arg = np.asarray(vec)[np.newaxis] if method == "insert_rows" else vec
+        with pytest.raises(ParseError, match="must be integers"):
+            getattr(basis, method)(arg)
+        assert basis.dim() == 1
+
+    @pytest.mark.parametrize("p, ambient", [(7, 3), (1048573, 3), (1048573, 8193)])
+    def test_integral_float64_input_matches_int64(self, p, ambient):
+        # Up to 2^53 - p in magnitude, float64 input is reduced in float64,
+        # into a float64 or (ambient 8193 at p = 1048573) an int64 basis.
+        field, top = PrimeField(p), 2**53 - p
+        ints = np.zeros((4, ambient), dtype=np.int64)
+        ints[:, :3] = [[top, -top, 3], [-1, 2 * p + 1, 0], [top - 1, 5, -top + 1], [-top, top, -3]]
+        from_floats, from_ints = SpanBasis(field, ambient), SpanBasis(field, ambient)
+        assert from_floats.insert_rows(ints.astype(np.float64)) == from_ints.insert_rows(ints)
+        assert np.array_equal(from_floats.rows, from_ints.rows)
+        for v in ints:
+            assert np.array_equal(from_floats.reduce(v.astype(np.float64)), from_ints.reduce(v))
+
+
+REDUCE_PRIMES = [2, 3, 101, 65521, 1048573]
+
+
+class TestReduce:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(REDUCE_PRIMES), data=st.data())
+    def test_matches_python_remainder(self, p, data):
+        bound = 2**53 - p
+        xs = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+        expected = [x % p for x in xs]
+        for dtype in (np.float64, np.int64):
+            x = np.array(xs, dtype=dtype)
+            assert _reduce(x, p) is x
+            assert x.tolist() == expected
+
+    @pytest.mark.parametrize("p", REDUCE_PRIMES)
+    def test_edge_window(self, p):
+        """m * p + r for r in {0, 1, p - 1}, with m at the largest magnitudes |x| <= 2^53 - p allows."""
+        bound = 2**53 - p
+        top, bottom = (bound - (p - 1)) // p, -(bound // p)
+        xs = [m * p + r for m in (top, top - 1, bottom, bottom + 1) for r in (0, 1, p - 1)]
+        xs += [bound, -bound]
+        assert all(abs(x) <= bound for x in xs)
+        assert _reduce(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]
+        # Arrays of several REDUCE_CHUNK slices, along a first axis that does
+        # not divide evenly into them, in the shapes the span engine reduces.
+        grid = np.resize(np.array(xs, dtype=np.float64), (300, 257))
+        expected = np.resize(np.array([x % p for x in xs], dtype=np.float64), grid.shape)
+        for shape in (grid.shape, (grid.size,), (300, 1, 257)):
+            assert np.array_equal(_reduce(grid.reshape(shape).copy(), p).reshape(grid.shape), expected)
