@@ -15,7 +15,6 @@ from .certificates import (
 from .instances import (
     InstanceSpec,
     JordanSpec,
-    build_instance,
     jordan_matrix,
     random_generating_set,
     random_invertible,
@@ -41,7 +40,6 @@ from .linalg import (
 )
 from .spectral import (
     JordanProfile,
-    MinimalPolynomial,
     Spectrum,
     jordan_profile,
     minimal_polynomial,
@@ -60,7 +58,6 @@ __all__ = [
     "JordanSpec",
     "LengthReport",
     "Matrix",
-    "MinimalPolynomial",
     "Polynomial",
     "PrimeField",
     "RankCertificate",
@@ -68,7 +65,6 @@ __all__ = [
     "Spectrum",
     "bound_ledger",
     "brute_force_length",
-    "build_instance",
     "compute_length",
     "conjugate",
     "find_rank_reduction",

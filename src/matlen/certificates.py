@@ -220,7 +220,7 @@ def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
     for i, g in enumerate(s.gens):
         mp = minimal_polynomial(g)
         try:
-            spec = split_roots(mp, s.field)
+            spec = split_roots(mp)
             profile = jordan_profile(g, spec)
         except NotSplit as exc:
             out.append(GeneratorAnalysis(i, mp.degree, None, None, str(exc)))

@@ -1,7 +1,8 @@
 """Command-line surface: length, analyze, verify, fuzz, oracle-check.
 
 Exit codes: 0 success / no violation, 1 violation found, 2 usage or parse
-error, 3 unsupported instance. Reports are deterministic given the seed.
+error (an unwritable --out too), 3 unsupported instance. Reports are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -60,8 +61,11 @@ def _parse_orders(text: str) -> list[int]:
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
     text = reports.canonical_json(report) if fmt == "json" else reports.report_to_csv(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -136,6 +140,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise EmptySet(f"count must be at least 1, got {args.count}")
     families = [f.strip().upper() for f in args.family.split(",") if f.strip()]
+    if not families:
+        raise ParseError("--family must list at least one family")
     for fam in families:
         if fam not in FAMILIES:
             raise ParseError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")

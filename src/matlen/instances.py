@@ -198,31 +198,34 @@ class BuildResult:
     retries: int = 0
 
 
-def build_instance(spec: InstanceSpec) -> GeneratingSet:
-    return build_instance_with_meta(spec).generating_set
-
-
 def build_instance_with_meta(spec: InstanceSpec) -> BuildResult:
     """Deterministically build a generating set for the instance spec.
 
     The distinguished generator is the conjugated Jordan prescription and is
-    never resampled; companions are retried up to 64 times until the set
-    generates the full algebra.
+    never resampled; the random companions are redrawn, up to 64 times,
+    until the set generates the full algebra. A RANDOM spec without a
+    prescription draws extra_gens + 1 companions of any degree, since
+    `_companion` with the cap n is `random_matrix`.
     """
-    f = PrimeField(spec.p)
-    check_family_hypothesis(spec.family, spec.n, spec.jordan)
+    n, f = spec.n, PrimeField(spec.p)
+    check_family_hypothesis(spec.family, n, spec.jordan)
     rng = _rng(spec.seed)
-    if spec.family == "RANDOM" and spec.jordan is None:
-        count = max(spec.extra_gens + 1, 1)
-        return _random_generating_set(spec.n, f, count, rng)
-    assert spec.jordan is not None
-    conj = random_invertible(spec.n, f, rng)
-    distinguished = conjugate(conj, jordan_matrix(f, spec.jordan))
-    max_degree = spec.jordan.minpoly_degree()
+    if spec.jordan is None:
+        fixed, draws, max_degree = [], spec.extra_gens + 1, n
+    else:
+        conj = random_invertible(n, f, rng)
+        fixed = [conjugate(conj, jordan_matrix(f, spec.jordan))]
+        draws, max_degree = spec.extra_gens, spec.jordan.minpoly_degree()
+    if len(fixed) + draws < 1:
+        raise EmptySet("need at least one generator")
+    if n >= 2 and len(fixed) + draws < 2:
+        raise ValueError(
+            "a single matrix spans a commutative subalgebra and never generates M_n for n >= 2"
+        )
     retries = 0
     while True:
-        companions = [_companion(spec.n, f, max_degree, rng) for _ in range(spec.extra_gens)]
-        gs = GeneratingSet(field=f, n=spec.n, gens=tuple([distinguished] + companions))
+        companions = [_companion(n, f, max_degree, rng) for _ in range(draws)]
+        gs = GeneratingSet(field=f, n=n, gens=tuple(fixed + companions))
         rep = compute_length(gs)
         if rep.is_generating:
             return BuildResult(generating_set=gs, length_report=rep, retries=retries)
@@ -233,27 +236,7 @@ def build_instance_with_meta(spec: InstanceSpec) -> BuildResult:
             )
 
 
-def _random_generating_set(n: int, f: PrimeField, count: int, rng: np.random.Generator) -> BuildResult:
-    if count < 1:
-        raise EmptySet("need at least one generator")
-    if n >= 2 and count < 2:
-        raise ValueError(
-            "a single matrix spans a commutative subalgebra and never generates M_n for n >= 2"
-        )
-    retries = 0
-    while True:
-        gens = [random_matrix(n, f, rng) for _ in range(count)]
-        gs = GeneratingSet(field=f, n=n, gens=tuple(gens))
-        rep = compute_length(gs)
-        if rep.is_generating:
-            return BuildResult(generating_set=gs, length_report=rep, retries=retries)
-        retries += 1
-        if retries >= MAX_RETRIES:
-            raise GenerationRetriesExhausted(
-                f"no generating set after {MAX_RETRIES} resamples over F_{f.p}"
-            )
-
-
 def random_generating_set(n: int, f: PrimeField, count: int, seed) -> GeneratingSet:
     """Seeded random matrices, resampled as a whole until the set generates."""
-    return _random_generating_set(n, f, count, _rng(seed)).generating_set
+    spec = InstanceSpec(n=n, p=f.p, jordan=None, extra_gens=count - 1, seed=seed)
+    return build_instance_with_meta(spec).generating_set

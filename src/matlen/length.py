@@ -16,8 +16,8 @@ from .errors import BudgetExceeded, DimensionMismatch, EmptySet, FieldMismatch
 from .linalg import Matrix, PrimeField, SpanBasis, _reduce, _rref_array, mat_mul
 
 BRUTE_FORCE_WORD_GUARD = 10**6
-# Candidate words per SpanBasis.insert_rows call. On random 2-generator sets
-# over F_101 (2-core x86 VM, three runs each), 64, 128 and 256 ran the
+# Candidate words per block insert. On random 2-generator sets over F_101
+# (2-core x86 VM, three runs each), 64, 128 and 256 ran the
 # benchmark's n = 16-32 mix at 26.6-26.9, 25.9-27.1 and 24.2-24.4 sets/s,
 # and one n = 48 set in 0.65-0.68, 0.64-0.69 and 0.66-0.75 s. No size won
 # at every n, so 128 stays.
@@ -50,18 +50,27 @@ class GeneratingSet:
 
 @dataclass(frozen=True)
 class LengthReport:
-    """Dimension-growth trace dims[i] = dim L_i, plus the generating verdict.
+    """Dimension-growth trace dims[i] = dim L_i; the verdict is read from it.
 
-    length is present iff the set generates, and then dims[length] == n^2
-    while dims[length-1] < n^2. Otherwise the trace ends on a stalled level
-    with dims[-1] == dims[-2].
+    The set generates iff the trace ends at n^2, and then its length is the
+    last level. Otherwise the trace ends on a stalled level with
+    dims[-1] == dims[-2], and the length is None.
     """
 
     n: int
     dims: tuple[int, ...]
-    length: int | None
-    generated_dim: int
-    is_generating: bool
+
+    @property
+    def generated_dim(self) -> int:
+        return self.dims[-1]
+
+    @property
+    def is_generating(self) -> bool:
+        return self.dims[-1] == self.n * self.n
+
+    @property
+    def length(self) -> int | None:
+        return len(self.dims) - 1 if self.is_generating else None
 
 
 def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthReport:
@@ -75,7 +84,8 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     until the final level.
 
     Candidates are built and inserted BLOCK_ROWS words at a time, generator
-    by generator in frontier order, through `SpanBasis.insert_rows`; the
+    by generator in frontier order, through `SpanBasis._insert_block`, which
+    takes them as built: already residues in the basis dtype. The
     frontier is the same, in the same order, as one insert per candidate.
     A word repeated on a level lies in the span of its first copy, so the
     basis rejects it like any other dependent word. Once the span is full,
@@ -102,20 +112,12 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
             if basis.dim() == full:
                 break
             block = _reduce(g @ frontier[start : start + BLOCK_ROWS], field.p)
-            grown.append(block[basis.insert_rows(block.reshape(len(block), full))])
+            grown.append(block[basis._insert_block(block.reshape(len(block), full))])
         dims.append(basis.dim())
         frontier = np.concatenate(grown)
         if not len(frontier):
             break
-    generated_dim = dims[-1]
-    generating = generated_dim == full
-    return LengthReport(
-        n=n,
-        dims=tuple(dims),
-        length=len(dims) - 1 if generating else None,
-        generated_dim=generated_dim,
-        is_generating=generating,
-    )
+    return LengthReport(n, tuple(dims))
 
 
 def is_generating(s: GeneratingSet) -> bool:
@@ -147,20 +149,6 @@ def brute_force_length(s: GeneratingSet, max_len: int) -> LengthReport:
                     m = mat_mul(m, g)
                 words.append(m.vec())
         dims.append(len(_rref_array(np.stack(words), field)[1]))
-        if dims[-1] == full:
-            return LengthReport(
-                n=n,
-                dims=tuple(dims),
-                length=level,
-                generated_dim=full,
-                is_generating=True,
-            )
-        if level > 0 and dims[-1] == dims[-2]:
-            return LengthReport(
-                n=n,
-                dims=tuple(dims),
-                length=None,
-                generated_dim=dims[-1],
-                is_generating=False,
-            )
+        if dims[-1] == full or (level > 0 and dims[-1] == dims[-2]):
+            return LengthReport(n, tuple(dims))
     raise BudgetExceeded(f"span still growing after max_len={max_len} levels")

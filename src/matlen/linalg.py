@@ -49,6 +49,14 @@ def _int64_entries(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _integer(value, what: str) -> int:
+    """value as int; numpy integers are accepted, bool, float and other objects
+    rejected, never truncated. The rule of Matrix and Polynomial, for one scalar."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ParseError(f"{what} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -70,11 +78,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        # The rule of Matrix and Polynomial: numpy integers are accepted and
-        # stored as int; bool, float and other objects are rejected, never truncated.
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
-            raise ParseError(f"modulus must be an integer, got {type(p).__name__}")
-        p = int(p)
+        p = _integer(p, "modulus")
         if not _is_prime(p):
             raise NotPrime(f"modulus {p!r} is not a prime number")
         if p > MAX_MODULUS:
@@ -146,9 +150,6 @@ class Matrix:
     def scale(self, c: int) -> Matrix:
         return Matrix(self.field, self.entries * (c % self.field.p))
 
-    def is_zero(self) -> bool:
-        return not self.entries.any()
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Matrix)
@@ -200,9 +201,6 @@ class Polynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def mul(self, other: Polynomial) -> Polynomial:
         _check_field(self.field, other.field)
@@ -480,7 +478,7 @@ class SpanBasis:
 
     def __init__(self, field: PrimeField, ambient_dim: int):
         self.field = field
-        self.ambient_dim = int(ambient_dim)
+        self.ambient_dim = _integer(ambient_dim, "ambient dimension")
         self.dtype = _accumulator_dtype(self.ambient_dim, field.p)
         self._pivots: list[int] = []
         # None until the first row is added: every column is free.
@@ -533,35 +531,18 @@ class SpanBasis:
         return self._insert_block(self._coerce(block, ndim=2))
 
     def _coerce(self, values, ndim: int) -> np.ndarray:
-        """Vector (ndim 1) or block of rows (ndim 2) as residues in the basis dtype.
+        """Vector (ndim 1) or block of rows (ndim 2) of integers as residues in the basis dtype.
 
-        Integer input is reduced in int64, since a float64 conversion of larger
-        integers is inexact. float64 input is accepted only when every entry
-        is an integer within `_reduce`'s bound, and is reduced in float64
-        unless it already lies in [0, p), as compute_length's blocks do; then
-        the result is values itself, which callers must only read. Any other
-        input (bool, complex, object, other floats, uint64 beyond int64) is
-        rejected, never truncated.
+        Reduced in int64, as Matrix entries are; any other input (bool,
+        float, complex, object, uint64 beyond int64) is rejected, never
+        truncated.
         """
-        p = self.field.p
         v = np.asarray(values)
         if v.ndim != ndim or v.shape[-1] != self.ambient_dim:
             raise DimensionMismatch(
                 f"shape {v.shape} does not match ambient dimension {self.ambient_dim}"
             )
-        if v.dtype != np.float64:
-            return (_int64_entries(v, "vector entries") % p).astype(self.dtype, copy=False)
-        bound = FLOAT64_EXACT_BOUND - p
-        # initial=0 admits an empty block and moves no test below; NaN
-        # propagates, and every comparison with it is False.
-        lo, hi = v.min(initial=0.0), v.max(initial=0.0)
-        if not (-bound <= lo and hi <= bound and (np.floor(v) == v).all()):
-            raise ParseError(
-                f"float64 vector entries must be integers of magnitude at most 2^53 - {p}"
-            )
-        if lo < 0 or hi >= p:
-            v = _reduce(v.copy(), p)
-        return v.astype(self.dtype, copy=False)
+        return (_int64_entries(v, "vector entries") % self.field.p).astype(self.dtype, copy=False)
 
     def _residues(self, b: np.ndarray) -> np.ndarray:
         """Residues of the rows of b (residues, basis dtype) on the free columns; d > 0."""
@@ -570,6 +551,10 @@ class SpanBasis:
         return _reduce(res, self.field.p)
 
     def _insert_block(self, b: np.ndarray) -> list[int]:
+        """`insert_rows` for a block of residues in [0, p) already in the basis dtype.
+
+        compute_length passes its candidate blocks here as built; b is only read.
+        """
         p = self.field.p
         d = self.dim()
         if d == self.ambient_dim:

@@ -11,16 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharPolyNotSplit, FieldMismatch, NotSplit
-from .linalg import Matrix, Polynomial, PrimeField, _rref_array, mat_mul, rank
-
-
-@dataclass(frozen=True)
-class MinimalPolynomial:
-    """Monic least-degree annihilator of a matrix."""
-
-    poly: Polynomial
-    degree: int
+from .errors import CharPolyNotSplit, NotSplit
+from .linalg import Matrix, Polynomial, _rref_array, mat_mul, rank
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class JordanProfile:
     blocks: dict[int, tuple[int, ...]]
 
 
-def minimal_polynomial(a: Matrix) -> MinimalPolynomial:
+def minimal_polynomial(a: Matrix) -> Polynomial:
     """Monic minimal polynomial via the first Krylov dependence.
 
     One Gauss-Jordan pass over the columns vec(I), vec(A), ..., vec(A^n).
@@ -62,8 +54,7 @@ def minimal_polynomial(a: Matrix) -> MinimalPolynomial:
     d = len(pivots)
     if d > n or pivots != list(range(d)):
         raise RuntimeError(f"Krylov pivots {pivots} of an order-{n} matrix are not a proper prefix")
-    poly = Polynomial(field, [(-int(c)) % p for c in reduced[:d, d]] + [1])
-    return MinimalPolynomial(poly=poly, degree=d)
+    return Polynomial(field, [(-int(c)) % p for c in reduced[:d, d]] + [1])
 
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
@@ -121,18 +112,16 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     return roots
 
 
-def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
-    """Factor the minimal polynomial into linear terms over F_p.
+def split_roots(poly: Polynomial) -> Spectrum:
+    """Factor a minimal polynomial into linear terms over its field F_p.
 
     Finds the distinct roots with `scan_roots` while p <= SCAN_MAX_P and with
     `splitting_roots` above, then divides each root out to its full
     multiplicity by synthetic division. Raises NotSplit if a nonlinear factor
-    remains, and FieldMismatch if f is not the polynomial's field.
+    remains.
     """
-    poly = mp.poly
-    if poly.field != f:
-        raise FieldMismatch(f"minimal polynomial over F_{poly.field.p}, roots asked in F_{f.p}")
-    root_vals = scan_roots(poly) if f.p <= SCAN_MAX_P else splitting_roots(poly)
+    p = poly.field.p
+    root_vals = scan_roots(poly) if p <= SCAN_MAX_P else splitting_roots(poly)
     roots: list[tuple[int, int]] = []
     remaining = poly
     for lam in root_vals:
@@ -147,7 +136,7 @@ def split_roots(mp: MinimalPolynomial, f: PrimeField) -> Spectrum:
             roots.append((int(lam), mult))
     if remaining.degree != 0:
         raise NotSplit(
-            f"minimal polynomial has a degree-{remaining.degree} factor with no roots in F_{f.p}"
+            f"minimal polynomial has a degree-{remaining.degree} factor with no roots in F_{p}"
         )
     roots.sort()
     return Spectrum(roots=tuple(roots))

@@ -17,7 +17,7 @@ from matlen.cli import derive_instance_spec, main
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
-    build_instance,
+    build_instance_with_meta,
     jordan_matrix,
     random_generating_set,
     random_invertible,
@@ -53,7 +53,7 @@ def _seed(*parts: int) -> int:
 
 
 def profile_of(a: Matrix):
-    return jordan_profile(a, split_roots(minimal_polynomial(a), F101))
+    return jordan_profile(a, split_roots(minimal_polynomial(a)))
 
 
 def paz_ceiling(n: int) -> int:
@@ -114,7 +114,7 @@ def test_criterion_3_above_half_families():
         seen_k[n] = set()
         for i in range(200):
             spec = derive_instance_spec(family, n, 101, _seed(3, n), i)
-            gs = build_instance(spec)
+            gs = build_instance_with_meta(spec).generating_set
             m = max(minimal_polynomial(g).degree for g in gs.gens)
             seen_k[n].add(m - n // 2)
             rep = compute_length(gs)
@@ -152,7 +152,7 @@ def test_criterion_4_window_families():
             else:
                 jordan = random_jordan_spec(n, F101, rng, degree=t)
             spec = InstanceSpec(n=n, p=101, jordan=jordan, extra_gens=2, seed=seed, family="T12")
-            gs = build_instance(spec)
+            gs = build_instance_with_meta(spec).generating_set
             rep = compute_length(gs)
             if not (rep.is_generating and rep.length <= bound):
                 bad_length += 1
@@ -242,7 +242,7 @@ def test_criterion_6_spectral_roundtrip():
             spec = random_jordan_spec(n, F101, rng)
             a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
             mp = minimal_polynomial(a)
-            profile = jordan_profile(a, split_roots(mp, F101))
+            profile = jordan_profile(a, split_roots(mp))
             if profile.blocks != spec.block_multisets():
                 mismatched_profiles += 1
             if mp.degree != sum(sizes[0] for sizes in profile.blocks.values()):

@@ -22,7 +22,7 @@ from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, Inval
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
-    build_instance,
+    build_instance_with_meta,
     jordan_matrix,
     random_invertible,
 )
@@ -40,12 +40,12 @@ F7 = PrimeField(7)
 F101 = PrimeField(101)
 
 
-def spectrum_of(a, field):
-    return split_roots(minimal_polynomial(a), field)
+def spectrum_of(a):
+    return split_roots(minimal_polynomial(a))
 
 
-def profile_of(a, field):
-    return jordan_profile(a, spectrum_of(a, field))
+def profile_of(a):
+    return jordan_profile(a, spectrum_of(a))
 
 
 def divisor_poly(field, exponents):
@@ -59,7 +59,7 @@ def divisor_poly(field, exponents):
 
 def exhaustive_minimum(a, field, r_max):
     """Oracle: scan every admissible exponent vector via poly_eval."""
-    spec = spectrum_of(a, field)
+    spec = spectrum_of(a)
     eigs = spec.eigenvalues()
     mults = [e for _, e in spec.roots]
     best = None
@@ -67,7 +67,7 @@ def exhaustive_minimum(a, field, r_max):
         if not any(v) or all(vi == ei for vi, ei in zip(v, mults)):
             continue
         witness = poly_eval(divisor_poly(field, zip(eigs, v)), a)
-        if witness.is_zero():
+        if not witness.entries.any():
             continue
         r = rank(witness)
         if r <= r_max:
@@ -99,7 +99,7 @@ def matrix_enumeration(a, spec, r_max):
         for lam, exp in zip(eigenvalues, v):
             evaluated = (evaluated @ chains[lam][exp]) % a.field.p
         witness = Matrix(a.field, evaluated)
-        if witness.is_zero():
+        if not witness.entries.any():
             continue
         r = rank(witness)
         if r > r_max or r in found:
@@ -141,21 +141,21 @@ def conjugated_jordan(draw, max_n=8, max_eigenvalues=6):
 class TestFindRankReduction:
     def test_nilpotent_with_tail_block(self):
         a = jordan_matrix(F101, JordanSpec(((0, 3), (0, 1))))
-        cert = find_rank_reduction(a, profile_of(a, F101), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a), 1).get(1)
         assert cert.exponents == ((0, 2),)
         assert cert.degree == 2 and cert.achieved_rank == 1
         assert cert.witness == Matrix.unit(F101, 4, 0, 2)
 
     def test_double_block_has_no_rank_one(self):
         a = jordan_matrix(F101, JordanSpec(((0, 2), (0, 2))))
-        profile = profile_of(a, F101)
+        profile = profile_of(a)
         assert find_rank_reduction(a, profile, 1).get(1) is None
         cert = find_rank_reduction(a, profile, 2).get(2)
         assert cert.exponents == ((0, 1),) and cert.degree == 1 and cert.achieved_rank == 2
 
     def test_two_eigenvalue_search_matches_exhaustion(self):
         a = jordan_matrix(F7, JordanSpec(((1, 3), (2, 2))))
-        cert = find_rank_reduction(a, profile_of(a, F7), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a), 1).get(1)
         oracle = exhaustive_minimum(a, F7, 1)
         assert (cert.exponents, cert.degree, cert.achieved_rank) == oracle
         assert cert.exponents == ((1, 2), (2, 2))  # lexicographic winner at degree 4
@@ -168,7 +168,7 @@ class TestFindRankReduction:
             for _ in range(15):
                 spec = random_jordan_spec(n, F101, rng)
                 a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
-                s = profile_of(a, F101)
+                s = profile_of(a)
                 oracles = {}
                 for r_max in (1, 2):
                     cert = find_rank_reduction(a, s, r_max).get(r_max)
@@ -188,7 +188,7 @@ class TestFindRankReduction:
     @given(case=conjugated_jordan())
     def test_matches_enumeration_and_oracle_on_jordan_profiles(self, case):
         field, a = case
-        spec, profile = spectrum_of(a, field), profile_of(a, field)
+        spec, profile = spectrum_of(a), profile_of(a)
         oracle = {r: exhaustive_minimum(a, field, r) for r in range(1, 5)}
         for r_max in range(1, 5):
             got = find_rank_reduction(a, profile, r_max)
@@ -201,7 +201,7 @@ class TestFindRankReduction:
     def test_closed_form_rank_identity(self, case, data):
         # rank prod (A - lambda I)^{a_lambda} = sum over blocks s of max(s - a_lambda, 0)
         field, a = case
-        profile = profile_of(a, field)
+        profile = profile_of(a)
         exps = {lam: data.draw(st.integers(0, sizes[0] + 1)) for lam, sizes in sorted(profile.blocks.items())}
         closed = sum(max(s - exps[lam], 0) for lam, sizes in profile.blocks.items() for s in sizes)
         assert closed == rank(poly_eval(divisor_poly(field, exps.items()), a))
@@ -225,7 +225,7 @@ class TestFindRankReduction:
             random_invertible(8, F101, 5),
             jordan_matrix(F101, JordanSpec(((1, 2), (2, 2), (3, 1), (4, 1), (5, 2)))),
         )
-        profile = profile_of(a, F101)
+        profile = profile_of(a)
         monkeypatch.setattr(matlen.certificates, "rank", counting_rank)
         certs = find_rank_reduction(a, profile, 4)
         assert list(certs) == [1, 2, 3, 4]
@@ -247,7 +247,7 @@ class TestFindRankReduction:
             random_invertible(8, F101, 5),
             jordan_matrix(F101, JordanSpec(((1, 3), (2, 2), (3, 1), (4, 1), (5, 1)))),
         )
-        profile = profile_of(a, F101)
+        profile = profile_of(a)
         monkeypatch.setattr(matlen.certificates, "mat_mul", counting_mat_mul)
         monkeypatch.setattr(matlen.spectral, "mat_mul", counting_mat_mul)
         certs = find_rank_reduction(a, profile, 4)
@@ -260,7 +260,7 @@ class TestFindRankReduction:
         # sit below their block size for a rank <= 2 certificate.
         eigs = list(range(1, 41))
         a = jordan_matrix(F101, JordanSpec(tuple((lam, 1) for lam in eigs)))
-        certs = find_rank_reduction(a, profile_of(a, F101), 2)
+        certs = find_rank_reduction(a, profile_of(a), 2)
         assert summary(certs) == {
             1: (tuple(zip(eigs, [0] + [1] * 39)), 39, 1),
             2: (tuple(zip(eigs, [0, 0] + [1] * 38)), 38, 2),
@@ -271,7 +271,7 @@ class TestFindRankReduction:
             random_invertible(5, F101, 99),
             jordan_matrix(F101, JordanSpec(((3, 2), (3, 1), (8, 2)))),
         )
-        cert = find_rank_reduction(a, profile_of(a, F101), 1).get(1)
+        cert = find_rank_reduction(a, profile_of(a), 1).get(1)
         rebuilt = poly_eval(divisor_poly(F101, cert.exponents), a)
         assert rebuilt == cert.witness
         assert rank(rebuilt) == cert.achieved_rank
@@ -283,7 +283,7 @@ class TestFindRankReduction:
         for _ in range(20):
             spec = random_jordan_spec(4, F101, rng)
             a = jordan_matrix(F101, spec)
-            s = profile_of(a, F101)
+            s = profile_of(a)
             c1, c2 = find_rank_reduction(a, s, 1).get(1), find_rank_reduction(a, s, 2).get(2)
             if c1 is not None:
                 assert c2 is not None and c2.degree <= c1.degree
@@ -327,14 +327,14 @@ class TestBoundFormulas:
 
 class TestBoundLedger:
     def t10_set(self):
-        return build_instance(
+        return build_instance_with_meta(
             InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=1, seed=5, family="T10")
-        )
+        ).generating_set
 
     def t12_set(self):
-        return build_instance(
+        return build_instance_with_meta(
             InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 2), (0, 2))), extra_gens=2, seed=5, family="T12")
-        )
+        ).generating_set
 
     def test_above_half_entry(self):
         ledger = bound_ledger(self.t10_set())
@@ -349,7 +349,8 @@ class TestBoundLedger:
         assert double.applicable and double.bound_value == 8
 
     def test_paz_values(self):
-        gs = build_instance(InstanceSpec(n=5, p=101, jordan=None, extra_gens=1, seed=3, family="RANDOM"))
+        spec = InstanceSpec(n=5, p=101, jordan=None, extra_gens=1, seed=3, family="RANDOM")
+        gs = build_instance_with_meta(spec).generating_set
         assert bound_ledger(gs).find("paz_general").bound_value == 9
         assert bound_ledger(self.t10_set()).find("paz_general").bound_value == 6
 
@@ -383,9 +384,9 @@ class TestBoundLedger:
         for n in (2, 3, 4):
             for _ in range(10):
                 seed = int(rng.integers(0, 2**32))
-                gs = build_instance(
+                gs = build_instance_with_meta(
                     InstanceSpec(n=n, p=101, jordan=None, extra_gens=1, seed=seed, family="RANDOM")
-                )
+                ).generating_set
                 length = compute_length(gs).length
                 for entry in bound_ledger(gs).applicable():
                     assert length <= entry.bound_value, (entry.name, length)
@@ -417,7 +418,7 @@ def test_stored_certificates_match_independent_searches():
     for family, n in (("T10", 4), ("T10", 6), ("T12", 5), ("T12", 6), ("THM39", 4), ("THM39", 6), ("RANDOM", 4)):
         for index in range(6):
             try:
-                gs = build_instance(derive_instance_spec(family, n, 101, 23, index))
+                gs = build_instance_with_meta(derive_instance_spec(family, n, 101, 23, index)).generating_set
             except GenerationRetriesExhausted:
                 continue
             for a in analyze_generators(gs):

@@ -107,6 +107,17 @@ class TestExitCodes:
 
     def test_oracle_check_without_orders(self):
         assert main(["oracle-check", "--count", "1", "--n", ""]) == 2
+        # fuzz rejects an empty order or family list the same way.
+        assert main(["fuzz", "--count", "1", "--n", ""]) == 2
+        for families in (",", ""):
+            assert main(["fuzz", "--count", "1", "--family", families, "--n", "2"]) == 2
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
+        out = tmp_path / "absent" / "x.json" if target == "missing-dir" else tmp_path
+        args = ["length", "--input", write_instance(tmp_path, units_instance()), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
 def paper_degrees(family, n):
@@ -227,7 +238,7 @@ class TestVerifyCommand:
         ledger = BoundLedger(
             entries=(BoundEntry("paz_general", 0, True, "tampered"),)
         )
-        rep = LengthReport(n=2, dims=(1, 3, 4), length=2, generated_dim=4, is_generating=True)
+        rep = LengthReport(n=2, dims=(1, 3, 4))
         violations = collect_violations(ledger, rep)
         assert violations == [{"bound": "paz_general", "bound_value": 0, "length": 2}]
 

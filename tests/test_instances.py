@@ -9,7 +9,6 @@ from matlen.errors import FamilyHypothesisViolated, GenerationRetriesExhausted
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
-    build_instance,
     build_instance_with_meta,
     check_family_hypothesis,
     jordan_matrix,
@@ -77,13 +76,13 @@ class TestRandomJordanSpec:
 class TestBuildInstance:
     def test_t10_example(self):
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=1, seed=7, family="T10")
-        gs = build_instance(spec)
+        gs = build_instance_with_meta(spec).generating_set
         assert max(minimal_polynomial(g).degree for g in gs.gens) == 3
         assert is_generating(gs)
 
     def test_t12_example_needs_two_companions(self):
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 2), (0, 2))), extra_gens=2, seed=7, family="T12")
-        gs = build_instance(spec)
+        gs = build_instance_with_meta(spec).generating_set
         assert max(minimal_polynomial(g).degree for g in gs.gens) == 2
         assert is_generating(gs)
 
@@ -91,30 +90,30 @@ class TestBuildInstance:
         # All-quadratic pairs span only alternating words: 1 + 2l < 16 dims.
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 2), (0, 2))), extra_gens=1, seed=7, family="T12")
         with pytest.raises(GenerationRetriesExhausted):
-            build_instance(spec)
+            build_instance_with_meta(spec)
 
     def test_family_hypothesis_checked(self):
         with pytest.raises(FamilyHypothesisViolated):
-            build_instance(
+            build_instance_with_meta(
                 InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 2), (0, 2))), extra_gens=1, seed=7, family="T10")
             )
 
     def test_distinguished_generator_profile_preserved(self):
         jordan = JordanSpec(((2, 3), (2, 1), (9, 2)))
         spec = InstanceSpec(n=6, p=101, jordan=jordan, extra_gens=1, seed=11, family="T10")
-        gs = build_instance(spec)
+        gs = build_instance_with_meta(spec).generating_set
         a = gs.gens[0]
-        prof = jordan_profile(a, split_roots(minimal_polynomial(a), F101))
+        prof = jordan_profile(a, split_roots(minimal_polynomial(a)))
         assert prof.blocks == jordan.block_multisets()
 
     def test_bit_identical_for_same_spec(self):
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=1, seed=99, family="T10")
-        a, b = build_instance(spec), build_instance(spec)
+        a, b = (build_instance_with_meta(spec).generating_set for _ in range(2))
         assert a == b
 
     def test_companions_respect_degree_cap(self):
         spec = InstanceSpec(n=6, p=101, jordan=JordanSpec(((0, 4), (0, 2))), extra_gens=2, seed=13, family="T10")
-        gs = build_instance(spec)
+        gs = build_instance_with_meta(spec).generating_set
         cap = minimal_polynomial(gs.gens[0]).degree
         for g in gs.gens[1:]:
             assert minimal_polynomial(g).degree <= cap
@@ -175,10 +174,10 @@ class TestStressModulus:
         spec = InstanceSpec(
             n=4, p=65521, jordan=JordanSpec(((3, 3), (3, 1))), extra_gens=1, seed=8, family="T10"
         )
-        gs = build_instance(spec)
+        gs = build_instance_with_meta(spec).generating_set
         assert max(minimal_polynomial(g).degree for g in gs.gens) == 3 and is_generating(gs)
         a = gs.gens[0]
-        spectrum = split_roots(minimal_polynomial(a), f)
+        spectrum = split_roots(minimal_polynomial(a))
         assert spectrum.roots == ((3, 3),)
         assert jordan_profile(a, spectrum).blocks == {3: (3, 1)}
 
@@ -192,6 +191,13 @@ class TestRandomGeneratingSet:
     def test_single_matrix_rejected(self):
         with pytest.raises(ValueError):
             random_generating_set(3, F101, 1, 0)
+        # The same rule on an instance spec: one generator in total.
+        with pytest.raises(ValueError):
+            build_instance_with_meta(InstanceSpec(n=3, p=101, jordan=None, extra_gens=0, seed=0))
+        with pytest.raises(ValueError):
+            build_instance_with_meta(
+                InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=0, seed=0, family="T10")
+            )
 
     def test_order_one_degenerate(self):
         gs = random_generating_set(1, F101, 1, 5)

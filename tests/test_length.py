@@ -5,10 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from matlen import length
+from matlen import length, linalg
 from matlen.cli import derive_instance_spec
 from matlen.errors import BudgetExceeded, EmptySet
-from matlen.instances import build_instance, random_generating_set, random_invertible
+from matlen.instances import build_instance_with_meta, random_generating_set, random_invertible
 from matlen.length import (
     GeneratingSet,
     LengthReport,
@@ -66,14 +66,7 @@ def sequential_length(s: GeneratingSet, max_levels: int | None = None) -> Length
         frontier = grown
         if not grown:
             break
-    generating = dims[-1] == full
-    return LengthReport(
-        n=s.n,
-        dims=tuple(dims),
-        length=len(dims) - 1 if generating else None,
-        generated_dim=dims[-1],
-        is_generating=generating,
-    )
+    return LengthReport(s.n, tuple(dims))
 
 
 def block_triangular_set(n: int, field: PrimeField, rng) -> GeneratingSet:
@@ -96,7 +89,7 @@ def sweep_sets(orders, seed: int):
         yield GeneratingSet.of(pair + pair[:1])
         for family in ("T10" if n % 2 == 0 else "T11", "T12"):
             if n >= 4:
-                yield build_instance(derive_instance_spec(family, n, 101, seed, n))
+                yield build_instance_with_meta(derive_instance_spec(family, n, 101, seed, n)).generating_set
         if n >= 2:
             yield block_triangular_set(n, F101, rng)
         yield GeneratingSet.of([Matrix(PrimeField(2), rng.integers(0, 2, size=(n, n)))])
@@ -166,19 +159,39 @@ class TestBlockedEngine:
         # Once the span is full, the level's remaining blocks are skipped.
         monkeypatch.setattr(length, "BLOCK_ROWS", block_rows)
         calls = []
-        insert_rows = SpanBasis.insert_rows
+        insert_block = SpanBasis._insert_block
 
         def spy(basis, block):
             calls.append(basis.dim() < basis.ambient_dim)
-            return insert_rows(basis, block)
+            return insert_block(basis, block)
 
-        monkeypatch.setattr(SpanBasis, "insert_rows", spy)
+        monkeypatch.setattr(SpanBasis, "_insert_block", spy)
         rng = np.random.default_rng(19)
         for n in range(2, 7):
             for _ in range(4):
                 gs = random_generating_set(n, F101, 2, rng)
                 assert compute_length(gs) == sequential_length(gs)
         assert calls and all(calls)
+
+    def test_random_pair_at_24_equals_sequential_frontier_loop(self):
+        # Beyond the sweep's n <= 12: many blocks per level, and a basis R of
+        # up to 288 x 288 entries, against the reference that stores every row.
+        rng = np.random.default_rng(0)
+        gs = GeneratingSet.of([Matrix(F101, rng.integers(0, 101, size=(24, 24))) for _ in range(2)])
+        rep = compute_length(gs)
+        assert rep.is_generating and rep == sequential_length(gs)
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_int64_accumulator_gives_the_same_trace(self, n, monkeypatch):
+        # The float64 engine runs its products through BLAS; numpy's int64
+        # products do not, so this is an independent summation path.
+        rng = np.random.default_rng(n)
+        gs = GeneratingSet.of([Matrix(F101, rng.integers(0, 101, size=(n, n))) for _ in range(2)])
+        assert SpanBasis(F101, n * n).dtype == np.float64
+        rep = compute_length(gs)
+        monkeypatch.setattr(linalg, "_accumulator_dtype", lambda ambient_dim, p: np.int64)
+        assert SpanBasis(F101, n * n).dtype == np.int64
+        assert compute_length(gs) == rep
 
     def test_level_cap_matches_sequential(self):
         for gs in sweep_sets((3, 6, 9), seed=11):

@@ -154,7 +154,7 @@ class TestPolynomialArithmetic:
         if ac.degree < 0 and bc.degree < 0:
             assert g == Polynomial.zero(F101)
             return
-        assert g.is_monic()
+        assert g.coeffs[-1] == 1
         assert ac.divmod(g)[1].degree < 0 and bc.divmod(g)[1].degree < 0
         # c divides both, so it divides their greatest common divisor.
         if c.degree >= 0:
@@ -354,6 +354,19 @@ class TestSpanBasis:
         with pytest.raises(DimensionMismatch):
             basis.insert(Matrix.identity(F101, 3).vec())
 
+    @pytest.mark.parametrize(
+        "ambient",
+        [2.5, 4.0, np.float64(4.0), True, np.bool_(True), "3", None],
+        ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "str", "none"],
+    )
+    def test_non_integer_ambient_dimension_rejected(self, ambient):
+        with pytest.raises(ParseError, match="must be an integer"):
+            SpanBasis(F101, ambient)
+
+    def test_numpy_integer_ambient_dimension_accepted(self):
+        basis = SpanBasis(F101, np.int64(4))
+        assert type(basis.ambient_dim) is int and basis.ambient_dim == 4
+
     def test_accumulator_dtype_bounds(self):
         # float64 while ambient_dim * (p-1)^2 + p <= 2^53 (the bound of
         # _reduce), then int64 while ambient_dim * (p-1)^2 < 2^63.
@@ -526,17 +539,25 @@ class TestSpanBasisInput:
         assert basis.dim() == 1
 
     @pytest.mark.parametrize("p, ambient", [(7, 3), (1048573, 3), (1048573, 8193)])
-    def test_integral_float64_input_matches_int64(self, p, ambient):
-        # Up to 2^53 - p in magnitude, float64 input is reduced in float64,
-        # into a float64 or (ambient 8193 at p = 1048573) an int64 basis.
+    def test_integral_float64_input_rejected(self, p, ambient):
+        # Integral float64 entries, even those a float64 basis computes with,
+        # are rejected by every public method, into a float64 or (ambient
+        # 8193 at p = 1048573) an int64 basis; the integers themselves are taken.
         field, top = PrimeField(p), 2**53 - p
         ints = np.zeros((4, ambient), dtype=np.int64)
         ints[:, :3] = [[top, -top, 3], [-1, 2 * p + 1, 0], [top - 1, 5, -top + 1], [-top, top, -3]]
-        from_floats, from_ints = SpanBasis(field, ambient), SpanBasis(field, ambient)
-        assert from_floats.insert_rows(ints.astype(np.float64)) == from_ints.insert_rows(ints)
-        assert np.array_equal(from_floats.rows, from_ints.rows)
-        for v in ints:
-            assert np.array_equal(from_floats.reduce(v.astype(np.float64)), from_ints.reduce(v))
+        basis = SpanBasis(field, ambient)
+        for call, arg in [
+            (basis.insert_rows, ints),
+            (basis.insert, ints[0]),
+            (basis.reduce, ints[0]),
+            (basis.contains, ints[0]),
+        ]:
+            with pytest.raises(ParseError, match="must be integers"):
+                call(arg.astype(np.float64))
+        assert basis.dim() == 0
+        reference = FullRowBasis(field, ambient)
+        assert basis.insert_rows(ints) == [i for i, v in enumerate(ints % p) if reference.insert(v)]
 
 
 REDUCE_PRIMES = [2, 3, 101, 65521, 1048573]

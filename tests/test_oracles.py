@@ -100,11 +100,11 @@ def sympy_minimal_factors(mp, a: Matrix) -> list:
     """Checks in sympy that mp is monic, annihilates a, and has no factor that can be
     dropped; returns its factors with multiplicities."""
     p, n = a.field.p, a.n
-    poly = sympy.Poly(list(reversed(mp.poly.coeffs)), X, modulus=p)
+    poly = sympy.Poly(list(reversed(mp.coeffs)), X, modulus=p)
     lead, factors = poly.factor_list()
     assert lead == 1
     zero = [[0] * n for _ in range(n)]
-    assert sympy_matrix_eval(list(mp.poly.coeffs), a.entries, p) == zero
+    assert sympy_matrix_eval(list(mp.coeffs), a.entries, p) == zero
     for factor, _ in factors:
         quotient = poly.exquo(factor)
         coeffs = [int(c) % p for c in reversed(quotient.all_coeffs())]
@@ -122,10 +122,10 @@ def test_minimal_polynomial_and_split_roots(p, seed, n, kind):
     factors = sympy_minimal_factors(mp, a)
     if any(factor.degree() > 1 for factor, _ in factors):
         with pytest.raises(NotSplit):
-            split_roots(mp, field)
+            split_roots(mp)
         return
     expected = sorted((-int(factor.all_coeffs()[1]) % p, mult) for factor, mult in factors)
-    assert split_roots(mp, field).roots == tuple(expected)
+    assert split_roots(mp).roots == tuple(expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,4 +135,4 @@ def test_minimal_polynomial_on_derogatory_matrices(p, seed, n, kind):
     a, _ = krylov_test_matrix(np.random.default_rng(seed), PrimeField(p), n, kind)
     mp = minimal_polynomial(a)
     sympy_minimal_factors(mp, a)
-    assert mp.poly.coeffs == krylov_minimal_polynomial(a)
+    assert mp.coeffs == krylov_minimal_polynomial(a)

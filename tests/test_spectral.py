@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matlen import spectral
-from matlen.errors import CharPolyNotSplit, FieldMismatch, NotSplit
+from matlen.errors import CharPolyNotSplit, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
 from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval, rank
 from matlen.spectral import (
     SCAN_MAX_P,
-    MinimalPolynomial,
     Spectrum,
     jordan_profile,
     minimal_polynomial,
@@ -38,17 +37,17 @@ def J(field, *blocks):
 class TestMinimalPolynomial:
     def test_nilpotent_block(self):
         mp = minimal_polynomial(J(F7, (0, 3)))
-        assert mp.degree == 3 and mp.poly.coeffs == (0, 0, 0, 1)
+        assert mp.degree == 3 and mp.coeffs == (0, 0, 0, 1)
 
     def test_distinct_eigenvalues(self):
         # (x-1)(x-2) = x^2 - 3x + 2 = x^2 + 4x + 2 over F_7
         mp = minimal_polynomial(Matrix(F7, [[1, 0], [0, 2]]))
-        assert mp.degree == 2 and mp.poly.coeffs == (2, 4, 1)
+        assert mp.degree == 2 and mp.coeffs == (2, 4, 1)
 
     def test_equal_blocks_share_annihilator(self):
         # (x-5)^2 = x^2 + 4x + 4 over F_7
         mp = minimal_polynomial(J(F7, (5, 2), (5, 2)))
-        assert mp.degree == 2 and mp.poly.coeffs == (4, 4, 1)
+        assert mp.degree == 2 and mp.coeffs == (4, 4, 1)
 
     def test_annihilates(self):
         rng = np.random.default_rng(17)
@@ -56,8 +55,8 @@ class TestMinimalPolynomial:
             for _ in range(20):
                 a = Matrix(F101, rng.integers(0, 101, size=(n, n)))
                 mp = minimal_polynomial(a)
-                assert mp.poly.is_monic()
-                assert poly_eval(mp.poly, a).is_zero()
+                assert mp.coeffs[-1] == 1
+                assert poly_eval(mp, a) == Matrix.zero(F101, n)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -70,8 +69,7 @@ class TestMinimalPolynomial:
         field = PrimeField(p)
         a, degree = krylov_test_matrix(np.random.default_rng(seed), field, n, kind)
         mp = minimal_polynomial(a)
-        assert mp.poly.coeffs == krylov_minimal_polynomial(a)
-        assert mp.degree == mp.poly.degree
+        assert mp.coeffs == krylov_minimal_polynomial(a)
         if degree is not None:
             assert mp.degree == degree
 
@@ -106,24 +104,19 @@ class TestMOfS:
 
 class TestSplitRoots:
     def test_two_simple_roots(self):
-        mp = MinimalPolynomial(Polynomial(F7, (2, 4, 1)), 2)  # x^2-3x+2
-        assert split_roots(mp, F7).roots == ((1, 1), (2, 1))
+        mp = Polynomial(F7, (2, 4, 1))  # x^2-3x+2
+        assert split_roots(mp).roots == ((1, 1), (2, 1))
 
     def test_irreducible_quadratic(self):
         # squares mod 7 are {0,1,2,4}; -1 = 6 is not among them
-        mp = MinimalPolynomial(Polynomial(F7, (1, 0, 1)), 2)
+        mp = Polynomial(F7, (1, 0, 1))
         with pytest.raises(NotSplit):
-            split_roots(mp, F7)
+            split_roots(mp)
 
     def test_triple_root(self):
         q = Polynomial.x_minus(F11, 5)
         cube = q.mul(q).mul(q)
-        assert split_roots(MinimalPolynomial(cube, 3), F11).roots == ((5, 3),)
-
-    def test_field_must_be_the_polynomials(self):
-        mp = MinimalPolynomial(Polynomial(F7, (2, 4, 1)), 2)
-        with pytest.raises(FieldMismatch):
-            split_roots(mp, F101)
+        assert split_roots(cube).roots == ((5, 3),)
 
     def test_reconstruction(self):
         rng = np.random.default_rng(31)
@@ -131,13 +124,13 @@ class TestSplitRoots:
             spec = random_jordan_spec(5, F101, rng)
             a = jordan_matrix(F101, spec)
             mp = minimal_polynomial(a)
-            spectrum = split_roots(mp, F101)
+            spectrum = split_roots(mp)
             product = Polynomial.one(F101)
             for lam, e in spectrum.roots:
                 factor = Polynomial.x_minus(F101, lam)
                 for _ in range(e):
                     product = product.mul(factor)
-            assert product == mp.poly
+            assert product == mp
             assert sum(e for _, e in spectrum.roots) == mp.degree
 
 
@@ -208,30 +201,29 @@ class TestRootFinders:
     @given(case=root_test_polys([LAST_SCANNED, FIRST_SPLIT]))
     def test_split_roots_same_on_both_paths(self, case):
         field, poly = case
-        mp = MinimalPolynomial(poly, poly.degree)
         outcomes = []
         # The prime's own path, then the other one forced by moving the constant.
         for limit in (SCAN_MAX_P, field.p - 1 if field.p <= SCAN_MAX_P else field.p):
             with mock.patch.object(spectral, "SCAN_MAX_P", limit):
                 try:
-                    outcomes.append(split_roots(mp, field))
+                    outcomes.append(split_roots(poly))
                 except NotSplit:
                     outcomes.append(NotSplit)
         assert outcomes[0] == outcomes[1]
 
 
 class TestJordanProfile:
-    def profile_of(self, a, field):
-        return jordan_profile(a, split_roots(minimal_polynomial(a), field))
+    def profile_of(self, a):
+        return jordan_profile(a, split_roots(minimal_polynomial(a)))
 
     def test_examples(self):
-        assert self.profile_of(J(F7, (0, 3), (0, 1)), F7).blocks == {0: (3, 1)}
-        assert self.profile_of(J(F7, (1, 1), (2, 1), (3, 1)), F7).blocks == {
+        assert self.profile_of(J(F7, (0, 3), (0, 1))).blocks == {0: (3, 1)}
+        assert self.profile_of(J(F7, (1, 1), (2, 1), (3, 1))).blocks == {
             1: (1,),
             2: (1,),
             3: (1,),
         }
-        assert self.profile_of(J(F7, (5, 2), (5, 2)), F7).blocks == {5: (2, 2)}
+        assert self.profile_of(J(F7, (5, 2), (5, 2))).blocks == {5: (2, 2)}
 
     def test_roundtrip_with_conjugation(self):
         rng = np.random.default_rng(41)
@@ -241,7 +233,7 @@ class TestJordanProfile:
                 a = jordan_matrix(F101, spec)
                 p = random_invertible(n, F101, rng)
                 conjugated = conjugate(p, a)
-                prof = self.profile_of(conjugated, F101)
+                prof = self.profile_of(conjugated)
                 assert prof.blocks == spec.block_multisets()
 
     def test_degree_equals_sum_of_max_blocks(self):
@@ -251,7 +243,7 @@ class TestJordanProfile:
                 spec = random_jordan_spec(n, F101, rng)
                 a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
                 mp = minimal_polynomial(a)
-                prof = self.profile_of(a, F101)
+                prof = self.profile_of(a)
                 assert mp.degree == sum(sizes[0] for sizes in prof.blocks.values())
 
     def test_one_rank_per_power(self, monkeypatch):
@@ -266,7 +258,7 @@ class TestJordanProfile:
         for n in range(2, 9):
             spec = random_jordan_spec(n, F101, rng)
             a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
-            roots = split_roots(minimal_polynomial(a), F101)
+            roots = split_roots(minimal_polynomial(a))
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(spectral, "rank", counting_rank)
