@@ -8,6 +8,7 @@ deterministic given the seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -272,6 +273,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report["summary"]["violation_count"] == 0 else EXIT_VIOLATION
 
 
+# Built once per process: parse_args leaves the parser unchanged, and building
+# the five subcommands took about 1.1 ms a call against 0.05 ms to parse
+# (2-core x86 VM), a sixth of an `analyze` call over F_1048573.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matlen",

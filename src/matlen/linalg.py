@@ -230,21 +230,6 @@ class Polynomial:
         lead_inv = self.field.inv(a.coeffs[-1])
         return Polynomial(self.field, [c * lead_inv for c in a.coeffs])
 
-    def powmod(self, e: int, modulus: Polynomial) -> Polynomial:
-        """self^e mod modulus, by square-and-multiply with a reduction after each product."""
-        _check_field(self.field, modulus.field)
-        if e < 0:
-            raise ValueError(f"exponent must be non-negative, got {e}")
-        field = self.field
-        m = modulus.coeffs
-        base = _divmod_coeffs(list(self.coeffs), m, field)[1]
-        acc = _divmod_coeffs([1], m, field)[1]
-        for bit in bin(e)[2:]:
-            acc = _divmod_coeffs(_mul_coeffs(acc, acc), m, field)[1]
-            if bit == "1":
-                acc = _divmod_coeffs(_mul_coeffs(acc, base), m, field)[1]
-        return Polynomial(field, acc)
-
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at a vector of points (used by the root scan)."""
         p = self.field.p
@@ -318,6 +303,42 @@ def _divmod_coeffs(
     return q, r
 
 
+# _companion_power works on the d x d companion matrix of a monic modulus g
+# of degree d, whose entries, like those of every power it forms, are
+# residues in [0, p). Each entry of a product sums d terms below (p-1)^2 <
+# 2^40, so it is exact in int64 for every d < 2^23.
+def _companion_power(g: Polynomial, a: int, e: int) -> Polynomial:
+    """(x + a)^e mod g for a monic g, from the powers of C_g + aI.
+
+    C_g is multiplication by x on F_p[x]/(g) in the basis 1, x, ..., x^(d-1),
+    so (x + a)^e mod g is column 0 of (C_g + aI)^e. Square-and-multiply runs
+    right to left: the base is squared once per bit of e, and the running
+    column is multiplied by it where a bit is set.
+    """
+    field = g.field
+    p, d = field.p, g.degree
+    if d < 0 or g.coeffs[-1] != 1:
+        raise ValueError(f"modulus must be monic, got {g!r}")
+    if e < 0:
+        raise ValueError(f"exponent must be non-negative, got {e}")
+    if d == 0:
+        return Polynomial.zero(field)
+    base = np.zeros((d, d), dtype=np.int64)
+    base[np.arange(1, d), np.arange(d - 1)] = 1
+    base[:, d - 1] = [-c % p for c in g.coeffs[:d]]
+    base[np.diag_indices(d)] += a % p
+    base %= p
+    col = np.zeros(d, dtype=np.int64)
+    col[0] = 1
+    while e:
+        if e & 1:
+            col = (base @ col) % p
+        e >>= 1
+        if e:
+            base = (base @ base) % p
+    return Polynomial(field, col.tolist())
+
+
 def _check_field(a: PrimeField, b: PrimeField) -> None:
     if a != b:
         raise FieldMismatch(f"mixed moduli {a.p} and {b.p}")
@@ -371,6 +392,35 @@ def rank(a: Matrix) -> int:
     """Row rank over F_p."""
     _, pivots = _rref_array(a.entries.copy(), a.field)
     return len(pivots)
+
+
+def _stack_ranks(stack: np.ndarray, p: int) -> np.ndarray:
+    """Row rank over F_p of each matrix in a (k, rows, cols) int64 stack, in one pass.
+
+    Fraction-free elimination, one pivot column at a time for the whole
+    stack: in each matrix the first row that is not yet a pivot row and is
+    nonzero in the column becomes one, and every other such row r is
+    replaced by pv * r - r[c] * prow (mod p), with pv = prow[c] != 0, which
+    keeps the rank and needs no inverse. Both terms are below p^2 <= 2^40,
+    so the difference lies within +-2^41, exact in int64. The rank is the
+    number of pivot rows. The per-matrix `rank` is its reference.
+    """
+    a = stack % p
+    k, m, ncols = a.shape
+    free = np.ones((k, m), dtype=bool)
+    every = np.arange(k)
+    for c in range(ncols):
+        cand = free & (a[:, :, c] != 0)
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        piv = cand.argmax(axis=1)
+        prow = a[every, piv]
+        free[every[has], piv[has]] = False
+        col = np.where(free, a[:, :, c], 0)
+        pv = np.where(has, prow[:, c], 1)
+        a = (pv[:, None, None] * a - col[:, :, None] * prow[:, None, :]) % p
+    return m - free.sum(axis=1)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -479,6 +529,8 @@ class SpanBasis:
     def __init__(self, field: PrimeField, ambient_dim: int):
         self.field = field
         self.ambient_dim = _integer(ambient_dim, "ambient dimension")
+        if self.ambient_dim < 0:
+            raise ParseError(f"ambient dimension must be non-negative, got {self.ambient_dim}")
         self.dtype = _accumulator_dtype(self.ambient_dim, field.p)
         self._pivots: list[int] = []
         # None until the first row is added: every column is free.

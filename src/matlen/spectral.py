@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharPolyNotSplit, NotSplit
-from .linalg import Matrix, Polynomial, _rref_array, mat_mul, rank
+from .linalg import Matrix, Polynomial, _companion_power, _rref_array, _stack_ranks
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,12 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
 
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
-# splits algebraically above. Mean ms per call on fully split polynomials of
-# degree 3-12 (30 per prime, best of 3; 2-core x86 VM), scan / splitting:
-# p = 101: 0.024 / 0.59, 1021: 0.092 / 1.2, 4093: 0.23 / 1.4, 16381: 0.84 / 1.6,
-# 24989: 1.3 / 1.3, 32749: 2.5 / 1.2, 65521: 3.9 / 1.9, 262139: 17 / 2.1,
-# 1048573: 73 / 2.2. The scan grows with p, splitting with log p.
+# splits algebraically above. Median ms per call on fully split polynomials of
+# degree 3-12 (30 per prime, 7 alternating runs; 2-core x86 VM), scan /
+# splitting: p = 101: 0.040 / 0.85, 1021: 0.086 / 1.2, 4093: 0.19 / 1.2,
+# 16381: 0.73 / 1.5, 24989: 1.0 / 1.2, 32749: 1.4 / 1.5, 65521: 2.8 / 1.5,
+# 262139: 15 / 1.8, 1048573: 69 / 1.9. The scan grows with p, splitting with
+# log p.
 SCAN_MAX_P = 25000
 
 
@@ -84,7 +85,8 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     way, going on from the next a, down to degree 1. Each pair of distinct
     roots r, s is separated by at least (p-1)/2 of the p shifts (those where
     exactly one of r+a, s+a is a nonzero square), so the search always ends,
-    and it uses no random numbers.
+    and it uses no random numbers. Both powers come from `_companion_power`,
+    modulo the monic poly and the monic factors that gcd returns.
     """
     field = poly.field
     p = field.p
@@ -93,8 +95,10 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     x = Polynomial(field, (0, 1))
     one = Polynomial.one(field)
     half = (p - 1) // 2
+    lead_inv = field.inv(poly.coeffs[-1])
+    monic = Polynomial(field, [c * lead_inv for c in poly.coeffs])
     roots: list[int] = []
-    todo = [(poly.gcd(x.powmod(p, poly).sub(x)), 0)]
+    todo = [(poly.gcd(_companion_power(monic, 0, p).sub(x)), 0)]
     while todo:
         g, a = todo.pop()
         if g.degree == 1:
@@ -103,7 +107,7 @@ def splitting_roots(poly: Polynomial) -> list[int]:
         if g.degree < 1:
             continue
         while True:
-            d = g.gcd(Polynomial(field, (a, 1)).powmod(half, g).sub(one))
+            d = g.gcd(_companion_power(g, a, half).sub(one))
             a += 1
             if 0 < d.degree < g.degree:
                 break
@@ -146,19 +150,26 @@ def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
     """Block-size multisets from the rank sequence of (A - lambda I)^j.
 
     For each eigenvalue, the count of blocks of size >= j is
-    rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j).
+    rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j). Every power for
+    j = 1..e_lambda is formed first (int64 products of residues, each
+    summing n terms below 2^40), and `_stack_ranks` ranks them all at once.
     """
-    n = a.n
-    identity = Matrix.identity(a.field, n)
+    n, p = a.n, a.field.p
+    eye = np.eye(n, dtype=np.int64)
+    powers: list[np.ndarray] = []
+    for lam, e_lam in spec.roots:
+        shifted = (a.entries - lam * eye) % p
+        power = eye
+        for _ in range(e_lam):
+            power = (power @ shifted) % p
+            powers.append(power)
+    all_ranks = _stack_ranks(np.array(powers, dtype=np.int64).reshape(-1, n, n), p).tolist()
     blocks: dict[int, tuple[int, ...]] = {}
     total = 0
+    start = 0
     for lam, e_lam in spec.roots:
-        shifted = a.sub(identity.scale(lam))
-        power = identity
-        ranks = [n]
-        for _ in range(e_lam):
-            power = mat_mul(power, shifted)
-            ranks.append(rank(power))
+        ranks = [n] + all_ranks[start : start + e_lam]
+        start += e_lam
         at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
         sizes: list[int] = []
         for j in range(1, e_lam + 1):

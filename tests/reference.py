@@ -5,6 +5,8 @@ over all columns; `krylov_minimal_polynomial` finds the first Krylov
 dependence power by power. Both work in int64: a reduction sums at most
 ambient_dim products below p^2, exact for every shape the tests use.
 `shifted_chain` builds the powers (A - lambda I)^j with plain numpy products.
+`powmod` is polynomial square-and-multiply, the reference for the companion-
+matrix powers of `linalg._companion_power`.
 `krylov_test_matrix` draws the matrices the minimal polynomial is checked on.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible
-from matlen.linalg import Matrix, PrimeField, conjugate
+from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate
 
 
 class FullRowBasis:
@@ -106,6 +108,19 @@ def shifted_chain(a: Matrix, lam: int, e: int) -> list[np.ndarray]:
     for _ in range(e):
         chain.append((chain[-1] @ shifted) % p)
     return chain
+
+
+def powmod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
+    """base^e mod a nonzero modulus, by square-and-multiply with a reduction after each product."""
+    if e < 0:
+        raise ValueError(f"exponent must be non-negative, got {e}")
+    base = base.divmod(modulus)[1]
+    acc = Polynomial.one(base.field).divmod(modulus)[1]
+    for bit in bin(e)[2:]:
+        acc = acc.mul(acc).divmod(modulus)[1]
+        if bit == "1":
+            acc = acc.mul(base).divmod(modulus)[1]
+    return acc
 
 
 KRYLOV_KINDS = ("random", "scalar", "zero", "repeated")

@@ -233,7 +233,8 @@ class TestFindRankReduction:
 
     def test_witnesses_built_from_their_own_factors(self, monkeypatch):
         # Each distinct kept witness costs at most deg(v) products, with no
-        # chain of powers built first, in this module or in spectral.
+        # chain of powers built first, in this module or in spectral (whose
+        # only chain, jordan_profile's, ends in _stack_ranks).
         import matlen.certificates
         import matlen.spectral
 
@@ -243,13 +244,16 @@ class TestFindRankReduction:
             calls.append((x, y))
             return mat_mul(x, y)
 
+        def no_chain(stack, p):
+            raise AssertionError("find_rank_reduction built a chain of powers in spectral")
+
         a = conjugate(
             random_invertible(8, F101, 5),
             jordan_matrix(F101, JordanSpec(((1, 3), (2, 2), (3, 1), (4, 1), (5, 1)))),
         )
         profile = profile_of(a)
         monkeypatch.setattr(matlen.certificates, "mat_mul", counting_mat_mul)
-        monkeypatch.setattr(matlen.spectral, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(matlen.spectral, "_stack_ranks", no_chain)
         certs = find_rank_reduction(a, profile, 4)
         distinct = {c.exponents: c.degree for c in certs.values()}
         assert len(distinct) > 1

@@ -161,6 +161,25 @@ class TestModuleEntryPoint:
         proc = self.run_module("analyze", "--input", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
 
+    def test_repeated_calls_in_one_process_match_fresh_processes(self, capsys):
+        # main reuses one parser per process; each call must still give the
+        # bytes and exit code of a fresh interpreter, a usage error included.
+        calls = [
+            ["analyze", "--input", str(FIXTURES / "t10_n4.json")],
+            ["length", "--input", str(FIXTURES / "t12_n4.json")],
+            ["length", "--max-level", "2"],
+            ["analyze", "--input", str(FIXTURES / "t10_n4.json")],
+        ]
+        codes = []
+        for args in calls:
+            codes.append(main(args))
+            captured = capsys.readouterr()
+            proc = self.run_module(*args)
+            assert codes[-1] == proc.returncode
+            assert captured.out.encode("utf-8") == proc.stdout
+            assert captured.err.encode("utf-8") == proc.stderr
+        assert codes == [0, 0, 2, 0]
+
 
 class TestLengthCommand:
     def test_units_pair(self, tmp_path):

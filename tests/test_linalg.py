@@ -18,12 +18,15 @@ from matlen.errors import (
     ParseError,
     Singular,
 )
+from matlen.instances import random_invertible
 from matlen.linalg import (
     Matrix,
     Polynomial,
     PrimeField,
     SpanBasis,
+    _companion_power,
     _reduce,
+    _stack_ranks,
     conjugate,
     mat_inverse,
     mat_mul,
@@ -31,7 +34,7 @@ from matlen.linalg import (
     rank,
     rref,
 )
-from reference import FullRowBasis
+from reference import FullRowBasis, powmod
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -160,6 +163,10 @@ class TestPolynomialArithmetic:
         if c.degree >= 0:
             assert g.divmod(c)[1].degree < 0
 
+
+class TestCompanionPower:
+    """`_companion_power` against `reference.powmod`, polynomial square-and-multiply."""
+
     @settings(max_examples=60, deadline=None)
     @given(base=poly_strategy(5), e=st.integers(0, 40), m=poly_strategy(6))
     def test_powmod_matches_repeated_products(self, base, e, m):
@@ -168,12 +175,37 @@ class TestPolynomialArithmetic:
         expected = Polynomial.one(F101)
         for _ in range(e):
             expected = expected.mul(base)
-        assert base.powmod(e, m) == expected.divmod(m)[1]
+        assert powmod(base, e, m) == expected.divmod(m)[1]
 
     def test_powmod_rejects_negative_exponent(self):
         x = Polynomial(F7, (0, 1))
         with pytest.raises(ValueError):
-            x.powmod(-1, Polynomial(F7, (1, 0, 1)))
+            powmod(x, -1, Polynomial(F7, (1, 0, 1)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([3, 5, 101, 25013, 1048573]), d=st.integers(1, 12))
+    def test_matches_reference_powmod(self, data, p, d):
+        field = PrimeField(p)
+        elems = st.integers(0, p - 1)
+        # Any nonzero leading coefficient: the caller makes the modulus monic.
+        coeffs = data.draw(st.lists(elems, min_size=d, max_size=d)) + [data.draw(st.integers(1, p - 1))]
+        modulus = Polynomial(field, coeffs)
+        lead_inv = field.inv(coeffs[-1])
+        monic = Polynomial(field, [c * lead_inv for c in coeffs])
+        a = data.draw(elems)
+        e = data.draw(st.sampled_from([0, 1, p, (p - 1) // 2]) | st.integers(0, 4 * p))
+        assert _companion_power(monic, a, e) == powmod(Polynomial(field, (a, 1)), e, modulus)
+
+    def test_constant_modulus_leaves_zero(self):
+        assert _companion_power(Polynomial.one(F7), 3, 5) == Polynomial.zero(F7)
+
+    def test_rejects_non_monic_modulus_and_negative_exponent(self):
+        with pytest.raises(ValueError, match="monic"):
+            _companion_power(Polynomial(F7, (1, 0, 2)), 0, 3)
+        with pytest.raises(ValueError, match="monic"):
+            _companion_power(Polynomial.zero(F7), 0, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            _companion_power(Polynomial(F7, (1, 0, 1)), 0, -1)
 
 
 class TestMatMul:
@@ -236,6 +268,58 @@ class TestRankRref:
             once, piv = rref(m)
             twice, piv2 = rref(once)
             assert once == twice and piv == piv2
+
+
+STACK_KINDS = ("random", "zero", "identity", "nilpotent", "low-rank")
+
+
+def stack_matrix(rng, p: int, n: int, kind: str) -> np.ndarray:
+    if kind == "random":
+        return rng.integers(0, p, size=(n, n))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if kind == "identity":
+        return np.eye(n, dtype=np.int64)
+    if kind == "nilpotent":
+        # Strictly upper triangular, conjugated by a random invertible matrix.
+        u = np.triu(rng.integers(0, p, size=(n, n)), 1)
+        return conjugate(random_invertible(n, PrimeField(p), rng), Matrix(PrimeField(p), u)).entries
+    r = int(rng.integers(0, n))
+    return (rng.integers(0, p, size=(n, r)) @ rng.integers(0, p, size=(r, n))) % p
+
+
+class TestStackRanks:
+    """`_stack_ranks` against the per-matrix `rank` on every matrix of the stack."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 101, 1048573]),
+        n=st.integers(1, 9),
+        kinds=st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rank_on_every_matrix(self, p, n, kinds, seed):
+        rng = np.random.default_rng(seed)
+        field = PrimeField(p)
+        stack = np.stack([stack_matrix(rng, p, n, kind) for kind in kinds])
+        got = _stack_ranks(stack, p)
+        assert got.tolist() == [rank(Matrix(field, m)) for m in stack]
+
+    def test_powers_of_a_nilpotent_block(self):
+        # rank of N^j for the n x n nilpotent Jordan block is n - j.
+        n = 5
+        base = nilpotent_jordan(F101, n).entries
+        stack = np.stack([np.linalg.matrix_power(base, j) for j in range(1, n + 1)])
+        assert _stack_ranks(stack, 101).tolist() == [4, 3, 2, 1, 0]
+
+    def test_empty_stack(self):
+        assert _stack_ranks(np.zeros((0, 3, 3), dtype=np.int64), 7).tolist() == []
+
+    def test_stack_is_not_modified(self):
+        stack = np.stack([np.eye(3, dtype=np.int64), np.ones((3, 3), dtype=np.int64)])
+        before = stack.copy()
+        assert _stack_ranks(stack, 7).tolist() == [3, 1]
+        assert np.array_equal(stack, before)
 
 
 class TestInverse:
@@ -362,6 +446,10 @@ class TestSpanBasis:
     def test_non_integer_ambient_dimension_rejected(self, ambient):
         with pytest.raises(ParseError, match="must be an integer"):
             SpanBasis(F101, ambient)
+
+    def test_negative_ambient_dimension_rejected(self):
+        with pytest.raises(ParseError, match="non-negative"):
+            SpanBasis(PrimeField(7), -3)
 
     def test_numpy_integer_ambient_dimension_accepted(self):
         basis = SpanBasis(F101, np.int64(4))

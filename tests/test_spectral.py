@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matlen import spectral
+from matlen import linalg, spectral
 from matlen.errors import CharPolyNotSplit, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval, rank
+from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
 from matlen.spectral import (
     SCAN_MAX_P,
     Spectrum,
@@ -246,13 +246,17 @@ class TestJordanProfile:
                 prof = self.profile_of(a)
                 assert mp.degree == sum(sizes[0] for sizes in prof.blocks.values())
 
-    def test_one_rank_per_power(self, monkeypatch):
-        # One running power per eigenvalue: rank is called exactly sum e_lambda times.
+    def test_one_batched_rank_pass(self, monkeypatch):
+        # All powers (A - lambda I)^j, j = 1..e_lambda, go to one _stack_ranks
+        # call per matrix, sum e_lambda of them, and rank is never called.
         calls = []
 
-        def counting_rank(m):
-            calls.append(m)
-            return rank(m)
+        def counting_stack_ranks(stack, p):
+            calls.append(stack.shape)
+            return linalg._stack_ranks(stack, p)
+
+        def no_rank(m):
+            raise AssertionError("jordan_profile called rank")
 
         rng = np.random.default_rng(47)
         for n in range(2, 9):
@@ -261,9 +265,10 @@ class TestJordanProfile:
             roots = split_roots(minimal_polynomial(a))
             calls.clear()
             with monkeypatch.context() as m:
-                m.setattr(spectral, "rank", counting_rank)
-                jordan_profile(a, roots)
-            assert len(calls) == sum(e for _, e in roots.roots)
+                m.setattr(spectral, "_stack_ranks", counting_stack_ranks)
+                m.setattr(linalg, "rank", no_rank)
+                assert jordan_profile(a, roots).blocks == spec.block_multisets()
+            assert calls == [(sum(e for _, e in roots.roots), n, n)]
 
     def test_spectrum_missing_an_eigenvalue_is_rejected(self):
         # diag(1, 2) with only the root 1: the blocks cover 1 of 2 dimensions.
