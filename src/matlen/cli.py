@@ -56,7 +56,15 @@ def _parse_orders(text: str) -> list[int]:
         raise ParseError(f"expected a comma-separated integer list, got {text!r}") from exc
     if not ns:
         raise ParseError("--n must list at least one order")
+    for n in ns:
+        if n < 1:
+            raise ParseError(f"--n orders must be at least 1, got {n}")
     return ns
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {seed}")
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
@@ -147,6 +155,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if fam not in FAMILIES:
             raise ParseError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
     ns = _parse_orders(args.n)
+    _check_seed(args.seed)
     PrimeField(args.p)  # validate modulus up front
     for fam in families:
         for n in ns:
@@ -228,6 +237,7 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         if args.count < 1:
             raise EmptySet(f"count must be at least 1, got {args.count}")
         ns = _parse_orders(args.n)
+        _check_seed(args.seed)
         field = PrimeField(args.p)
         sets = []
         index = 0

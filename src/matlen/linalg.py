@@ -303,40 +303,42 @@ def _divmod_coeffs(
     return q, r
 
 
-# _companion_power works on the d x d companion matrix of a monic modulus g
-# of degree d, whose entries, like those of every power it forms, are
-# residues in [0, p). Each entry of a product sums d terms below (p-1)^2 <
-# 2^40, so it is exact in int64 for every d < 2^23.
-def _companion_power(g: Polynomial, a: int, e: int) -> Polynomial:
-    """(x + a)^e mod g for a monic g, from the powers of C_g + aI.
+# _companion_powers works on a stack of d x d matrices C_f + aI for a monic
+# modulus f of degree d, whose entries, like those of every power it forms,
+# are residues in [0, p). Each entry of a product sums d terms below
+# (p-1)^2 < 2^40, so it is exact in int64 for every d < 2^23.
+def _companion_powers(f: Polynomial, start: int, count: int, e: int) -> np.ndarray:
+    """(x + a)^e mod a monic f for a = start, ..., start + count - 1, one row each.
 
-    C_g is multiplication by x on F_p[x]/(g) in the basis 1, x, ..., x^(d-1),
-    so (x + a)^e mod g is column 0 of (C_g + aI)^e. Square-and-multiply runs
-    right to left: the base is squared once per bit of e, and the running
-    column is multiplied by it where a bit is set.
+    C_f is multiplication by x on F_p[x]/(f) in the basis 1, x, ..., x^(d-1),
+    so (x + a)^e mod f is column 0 of (C_f + aI)^e. Square-and-multiply runs
+    right to left on the (count, d, d) stack of the C_f + aI: the stack is
+    squared once per bit of e, and the running columns are multiplied by it
+    where a bit is set. Row i of the (count, d) result holds the ascending
+    coefficients for a = start + i.
     """
-    field = g.field
-    p, d = field.p, g.degree
-    if d < 0 or g.coeffs[-1] != 1:
-        raise ValueError(f"modulus must be monic, got {g!r}")
+    p, d = f.field.p, f.degree
+    if d < 0 or f.coeffs[-1] != 1:
+        raise ValueError(f"modulus must be monic, got {f!r}")
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
     if d == 0:
-        return Polynomial.zero(field)
-    base = np.zeros((d, d), dtype=np.int64)
-    base[np.arange(1, d), np.arange(d - 1)] = 1
-    base[:, d - 1] = [-c % p for c in g.coeffs[:d]]
-    base[np.diag_indices(d)] += a % p
+        return np.zeros((count, 0), dtype=np.int64)
+    base = np.zeros((count, d, d), dtype=np.int64)
+    base[:, np.arange(1, d), np.arange(d - 1)] = 1
+    base[:, :, d - 1] = [-c % p for c in f.coeffs[:d]]
+    diag = np.arange(d)
+    base[:, diag, diag] += (np.arange(count) + start % p)[:, None]
     base %= p
-    col = np.zeros(d, dtype=np.int64)
-    col[0] = 1
+    cols = np.zeros((count, d, 1), dtype=np.int64)
+    cols[:, 0] = 1
     while e:
         if e & 1:
-            col = (base @ col) % p
+            cols = (base @ cols) % p
         e >>= 1
         if e:
             base = (base @ base) % p
-    return Polynomial(field, col.tolist())
+    return cols[:, :, 0]
 
 
 def _check_field(a: PrimeField, b: PrimeField) -> None:

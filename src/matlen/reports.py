@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .certificates import (
@@ -163,8 +164,64 @@ def evaluate_instance(gs: GeneratingSet, rep: LengthReport) -> dict:
 
 
 def canonical_json(body: dict) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, newline-terminated."""
-    return json.dumps(body, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
+    """Deterministic serialization: sorted keys, fixed separators, newline-terminated.
+
+    Byte for byte what json.dumps(body, sort_keys=True, indent=2,
+    separators=(",", ": ")) + "\n" writes (kept as the reference in the
+    tests), written for the types a report holds: dicts with str keys,
+    lists, ints, strs, bools and None. Anything else, such as a float, a
+    tuple or a numpy scalar, raises TypeError. json.dumps runs its
+    pure-Python encoder whenever it indents; here a list of ints is one
+    join and strings go through json's own C escaper.
+    """
+    out: list[str] = []
+    put = out.append
+
+    def write(o: Any, nl: str) -> None:
+        # nl is the newline and indent that precede the closing bracket of o.
+        t = type(o)
+        if t is str:
+            put(encode_basestring_ascii(o))
+        elif t is int:
+            put(int.__repr__(o))
+        elif t is list:
+            if not o:
+                put("[]")
+                return
+            inner = nl + "  "
+            if set(map(type, o)) == {int}:
+                put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
+                return
+            pre = "[" + inner
+            for x in o:
+                put(pre)
+                write(x, inner)
+                pre = "," + inner
+            put(nl + "]")
+        elif t is dict:
+            if not o:
+                put("{}")
+                return
+            inner = nl + "  "
+            pre = "{" + inner
+            for k in sorted(o):
+                # The escaper raises TypeError on a key that is not a str.
+                put(pre + encode_basestring_ascii(k) + ": ")
+                write(o[k], inner)
+                pre = "," + inner
+            put(nl + "}")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif o is None:
+            put("null")
+        else:
+            raise TypeError(f"a report cannot hold {t.__name__} values")
+
+    write(body, "\n")
+    put("\n")
+    return "".join(out)
 
 
 def make_report(command: str, config: dict, instances: list[dict]) -> dict:

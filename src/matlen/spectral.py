@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharPolyNotSplit, NotSplit
-from .linalg import Matrix, Polynomial, _companion_power, _rref_array, _stack_ranks
+from .linalg import Matrix, Polynomial, _companion_powers, _rref_array, _stack_ranks
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,14 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
 # splits algebraically above. Median ms per call on fully split polynomials of
-# degree 3-12 (30 per prime, 7 alternating runs; 2-core x86 VM), scan /
-# splitting: p = 101: 0.040 / 0.85, 1021: 0.086 / 1.2, 4093: 0.19 / 1.2,
-# 16381: 0.73 / 1.5, 24989: 1.0 / 1.2, 32749: 1.4 / 1.5, 65521: 2.8 / 1.5,
-# 262139: 15 / 1.8, 1048573: 69 / 1.9. The scan grows with p, splitting with
-# log p.
-SCAN_MAX_P = 25000
+# degree 3-12 (30 per prime, 7 alternating runs, two runs; 2-core x86 VM),
+# scan / splitting: p = 101: 0.04 / 0.73-0.81, 1021: 0.07 / 0.61-0.67,
+# 4093: 0.19 / 0.62-0.77, 16381: 0.60-0.66 / 0.56-0.74, 17989: 0.68-0.74 /
+# 0.54-0.78, 19997: 0.94-0.95 / 0.78-1.04, 21997: 0.84-0.91 / 0.72-0.78,
+# 24989: 1.0-1.1 / 0.69-0.90, 32749: 1.4-1.5 / 0.75-0.84, 65521: 2.9-3.0 /
+# 0.83-0.98, 262139: 13-14 / 0.73-0.83, 1048573: 64-66 / 0.84. The scan grows
+# with p, splitting with log p; they cross at about p = 16000-20000.
+SCAN_MAX_P = 20000
 
 
 def scan_roots(poly: Polynomial) -> list[int]:
@@ -76,6 +78,17 @@ def scan_roots(poly: Polynomial) -> list[int]:
     return xs[poly.eval_many(xs) == 0].tolist()
 
 
+# splitting_roots computes the powers (x + a)^((p-1)/2) mod f for SHIFT_BATCH
+# consecutive shifts a per `_companion_powers` call, and the next batch only
+# when a factor runs past them. Seconds for the 420 minimal polynomials of a
+# seed-0 analyze-wide-field pass (degree 2-12, p = 1048573; median of 21
+# interleaved reps, two runs; 2-core x86 VM), by batch: 1: 0.17-0.21,
+# 2: 0.13-0.16, 3: 0.12-0.14, 4: 0.12-0.13, 6: 0.11-0.15, 8: 0.12-0.14,
+# 12: 0.14-0.17. A batch of one costs a numpy round trip per shift, and a
+# large one squares shifts that few factors reach; 4-8 tie.
+SHIFT_BATCH = 6
+
+
 def splitting_roots(poly: Polynomial) -> list[int]:
     """Distinct roots of a nonzero poly in F_p, p odd, ascending, without a scan.
 
@@ -85,8 +98,12 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     way, going on from the next a, down to degree 1. Each pair of distinct
     roots r, s is separated by at least (p-1)/2 of the p shifts (those where
     exactly one of r+a, s+a is a nonzero square), so the search always ends,
-    and it uses no random numbers. Both powers come from `_companion_power`,
-    modulo the monic poly and the monic factors that gcd returns.
+    and it uses no random numbers.
+
+    One chain serves the whole polynomial: h_a = (x+a)^((p-1)/2) mod f, f the
+    monic poly, comes from `_companion_powers` SHIFT_BATCH shifts at a time.
+    x^p mod f is x * h_0^2 mod f, and since every factor g divides f, the
+    Rabin step on g reads (x+a)^((p-1)/2) mod g as h_a mod g.
     """
     field = poly.field
     p = field.p
@@ -97,8 +114,16 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     half = (p - 1) // 2
     lead_inv = field.inv(poly.coeffs[-1])
     monic = Polynomial(field, [c * lead_inv for c in poly.coeffs])
+    chain: list[list[int]] = []  # chain[a]: coefficients of h_a
+
+    def h(a: int) -> Polynomial:
+        while a >= len(chain):
+            chain.extend(_companion_powers(monic, len(chain), SHIFT_BATCH, half).tolist())
+        return Polynomial(field, chain[a])
+
+    h0 = h(0)
     roots: list[int] = []
-    todo = [(poly.gcd(_companion_power(monic, 0, p).sub(x)), 0)]
+    todo = [(poly.gcd(h0.mul(h0).mul(x).divmod(monic)[1].sub(x)), 0)]
     while todo:
         g, a = todo.pop()
         if g.degree == 1:
@@ -107,7 +132,7 @@ def splitting_roots(poly: Polynomial) -> list[int]:
         if g.degree < 1:
             continue
         while True:
-            d = g.gcd(_companion_power(g, a, half).sub(one))
+            d = g.gcd(h(a).divmod(g)[1].sub(one))
             a += 1
             if 0 < d.degree < g.degree:
                 break

@@ -6,11 +6,15 @@ dependence power by power. Both work in int64: a reduction sums at most
 ambient_dim products below p^2, exact for every shape the tests use.
 `shifted_chain` builds the powers (A - lambda I)^j with plain numpy products.
 `powmod` is polynomial square-and-multiply, the reference for the companion-
-matrix powers of `linalg._companion_power`.
+matrix powers of `linalg._companion_powers`.
+`canonical_json` is `json.dumps` with the report layout, the reference for
+`reports.canonical_json`.
 `krylov_test_matrix` draws the matrices the minimal polynomial is checked on.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -121,6 +125,11 @@ def powmod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
         if bit == "1":
             acc = acc.mul(base).divmod(modulus)[1]
     return acc
+
+
+def canonical_json(body: dict) -> str:
+    """Sorted keys, two-space indent, "," and ": " separators, newline-terminated."""
+    return json.dumps(body, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
 KRYLOV_KINDS = ("random", "scalar", "zero", "repeated")

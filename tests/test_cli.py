@@ -112,6 +112,22 @@ class TestExitCodes:
         for families in (",", ""):
             assert main(["fuzz", "--count", "1", "--family", families, "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("command", ["fuzz", "oracle-check"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--n", "2", "--seed", "-1"], "error: --seed must be non-negative, got -1"),
+            (["--n", "-2"], "error: --n orders must be at least 1, got -2"),
+            (["--n", "0"], "error: --n orders must be at least 1, got 0"),
+            (["--n", "2,0,3"], "error: --n orders must be at least 1, got 0"),
+        ],
+    )
+    def test_errors_name_the_option(self, capsys, command, extra, message):
+        assert main([command, "--count", "1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_out_is_usage_error(self, tmp_path, capsys, target):
         out = tmp_path / "absent" / "x.json" if target == "missing-dir" else tmp_path

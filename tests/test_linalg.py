@@ -24,7 +24,7 @@ from matlen.linalg import (
     Polynomial,
     PrimeField,
     SpanBasis,
-    _companion_power,
+    _companion_powers,
     _reduce,
     _stack_ranks,
     conjugate,
@@ -164,8 +164,8 @@ class TestPolynomialArithmetic:
             assert g.divmod(c)[1].degree < 0
 
 
-class TestCompanionPower:
-    """`_companion_power` against `reference.powmod`, polynomial square-and-multiply."""
+class TestCompanionPowers:
+    """`_companion_powers` against `reference.powmod`, polynomial square-and-multiply."""
 
     @settings(max_examples=60, deadline=None)
     @given(base=poly_strategy(5), e=st.integers(0, 40), m=poly_strategy(6))
@@ -192,20 +192,26 @@ class TestCompanionPower:
         modulus = Polynomial(field, coeffs)
         lead_inv = field.inv(coeffs[-1])
         monic = Polynomial(field, [c * lead_inv for c in coeffs])
-        a = data.draw(elems)
+        # Shifts past p wrap around: a batch may run beyond the field.
+        start = data.draw(elems | st.integers(p, 2 * p))
+        count = data.draw(st.integers(1, 8))
         e = data.draw(st.sampled_from([0, 1, p, (p - 1) // 2]) | st.integers(0, 4 * p))
-        assert _companion_power(monic, a, e) == powmod(Polynomial(field, (a, 1)), e, modulus)
+        batch = _companion_powers(monic, start, count, e)
+        assert batch.shape == (count, d)
+        for i, row in enumerate(batch.tolist()):
+            x_plus_a = Polynomial(field, (start + i, 1))
+            assert Polynomial(field, row) == powmod(x_plus_a, e, modulus)
 
     def test_constant_modulus_leaves_zero(self):
-        assert _companion_power(Polynomial.one(F7), 3, 5) == Polynomial.zero(F7)
+        assert _companion_powers(Polynomial.one(F7), 3, 2, 5).shape == (2, 0)
 
     def test_rejects_non_monic_modulus_and_negative_exponent(self):
         with pytest.raises(ValueError, match="monic"):
-            _companion_power(Polynomial(F7, (1, 0, 2)), 0, 3)
+            _companion_powers(Polynomial(F7, (1, 0, 2)), 0, 1, 3)
         with pytest.raises(ValueError, match="monic"):
-            _companion_power(Polynomial.zero(F7), 0, 3)
+            _companion_powers(Polynomial.zero(F7), 0, 1, 3)
         with pytest.raises(ValueError, match="non-negative"):
-            _companion_power(Polynomial(F7, (1, 0, 1)), 0, -1)
+            _companion_powers(Polynomial(F7, (1, 0, 1)), 0, 1, -1)
 
 
 class TestMatMul:

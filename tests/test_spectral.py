@@ -197,6 +197,42 @@ class TestRootFinders:
         with pytest.raises(ValueError):
             splitting_roots(Polynomial(PrimeField(2), (0, 1, 1)))
 
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_small_batches_refill_and_match_scan(self, monkeypatch, batch):
+        # Polynomials with many roots need many shifts, so batches of one or
+        # two shifts are refilled several times per polynomial.
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return linalg._companion_powers(*args)
+
+        monkeypatch.setattr(spectral, "SHIFT_BATCH", batch)
+        monkeypatch.setattr(spectral, "_companion_powers", counted)
+        rng = np.random.default_rng(batch)
+        polys = []
+        for p in (3, 5):
+            field = PrimeField(p)
+            for roots in itertools.chain.from_iterable(
+                itertools.combinations(range(p), k) for k in range(2, p + 1)
+            ):
+                poly = Polynomial(field, (int(rng.integers(1, p)),))
+                for lam in roots:
+                    for _ in range(int(rng.integers(1, 3))):
+                        poly = poly.mul(Polynomial.x_minus(field, lam))
+                polys.append(poly)
+        for size in range(8, 21):
+            poly = Polynomial.one(F101)
+            for lam in rng.choice(101, size=size, replace=False).tolist():
+                poly = poly.mul(Polynomial.x_minus(F101, lam))
+            polys.append(poly)
+        for poly in polys:
+            calls.clear()
+            assert splitting_roots(poly) == scan_roots(poly)
+            assert calls == [batch * i for i in range(len(calls))]
+            if poly.field.p == 101:
+                assert len(calls) > 1
+
     @settings(max_examples=60, deadline=None)
     @given(case=root_test_polys([LAST_SCANNED, FIRST_SPLIT]))
     def test_split_roots_same_on_both_paths(self, case):
