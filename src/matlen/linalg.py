@@ -180,19 +180,29 @@ class Polynomial:
             # objects would be kept as field elements: reject, never truncate.
             if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
                 raise ParseError(f"polynomial coefficients must be integers, got {type(c).__name__}")
-        cs = [int(c) % field.p for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = _canonical_coeffs(map(int, cs), field.p)
+
+    @classmethod
+    def _from_ints(cls, field: PrimeField, coeffs: Iterable[int]) -> Polynomial:
+        """A polynomial from Python ints the package computed, without the type checks.
+
+        Reduces mod p and strips trailing zeros like the public constructor.
+        Arithmetic, root splitting and minimal_polynomial build their results
+        through here: the public checks cost a loop over every coefficient.
+        """
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = _canonical_coeffs(coeffs, field.p)
+        return poly
 
     @classmethod
     def zero(cls, field: PrimeField) -> Polynomial:
-        return cls(field, ())
+        return cls._from_ints(field, ())
 
     @classmethod
     def one(cls, field: PrimeField) -> Polynomial:
-        return cls(field, (1,))
+        return cls._from_ints(field, (1,))
 
     @classmethod
     def x_minus(cls, field: PrimeField, lam: int) -> Polynomial:
@@ -204,20 +214,20 @@ class Polynomial:
 
     def mul(self, other: Polynomial) -> Polynomial:
         _check_field(self.field, other.field)
-        return Polynomial(self.field, _mul_coeffs(self.coeffs, other.coeffs))
+        return Polynomial._from_ints(self.field, _mul_coeffs(self.coeffs, other.coeffs))
 
     def sub(self, other: Polynomial) -> Polynomial:
         _check_field(self.field, other.field)
         pad = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0,) * (pad - len(self.coeffs))
         b = other.coeffs + (0,) * (pad - len(other.coeffs))
-        return Polynomial(self.field, [x - y for x, y in zip(a, b)])
+        return Polynomial._from_ints(self.field, [x - y for x, y in zip(a, b)])
 
     def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Long division by a nonzero polynomial; returns (quotient, remainder)."""
         _check_field(self.field, other.field)
         q, r = _divmod_coeffs(list(self.coeffs), other.coeffs, self.field)
-        return Polynomial(self.field, q), Polynomial(self.field, r)
+        return Polynomial._from_ints(self.field, q), Polynomial._from_ints(self.field, r)
 
     def gcd(self, other: Polynomial) -> Polynomial:
         """Monic greatest common divisor by Euclid's algorithm (zero if both are zero)."""
@@ -228,7 +238,7 @@ class Polynomial:
         if not a.coeffs:
             return a
         lead_inv = self.field.inv(a.coeffs[-1])
-        return Polynomial(self.field, [c * lead_inv for c in a.coeffs])
+        return Polynomial._from_ints(self.field, [c * lead_inv for c in a.coeffs])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at a vector of points (used by the root scan)."""
@@ -249,7 +259,7 @@ class Polynomial:
             acc = (acc * lam + self.coeffs[i]) % p
             out[i - 1] = acc
         rem = (acc * lam + self.coeffs[0]) % p
-        return Polynomial(self.field, out), rem
+        return Polynomial._from_ints(self.field, out), rem
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -263,6 +273,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(F_{self.field.p}, {list(self.coeffs)})"
+
+
+def _canonical_coeffs(cs: Iterable[int], p: int) -> tuple[int, ...]:
+    """Python ints reduced mod p, trailing zeros stripped."""
+    out = [c % p for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int]) -> list[int]:

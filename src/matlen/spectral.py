@@ -54,7 +54,7 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
     d = len(pivots)
     if d > n or pivots != list(range(d)):
         raise RuntimeError(f"Krylov pivots {pivots} of an order-{n} matrix are not a proper prefix")
-    return Polynomial(field, [(-int(c)) % p for c in reduced[:d, d]] + [1])
+    return Polynomial._from_ints(field, [-int(c) for c in reduced[:d, d]] + [1])
 
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
@@ -109,17 +109,17 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     p = field.p
     if p == 2:
         raise ValueError("Rabin splitting needs an odd prime")
-    x = Polynomial(field, (0, 1))
+    x = Polynomial._from_ints(field, (0, 1))
     one = Polynomial.one(field)
     half = (p - 1) // 2
     lead_inv = field.inv(poly.coeffs[-1])
-    monic = Polynomial(field, [c * lead_inv for c in poly.coeffs])
+    monic = Polynomial._from_ints(field, [c * lead_inv for c in poly.coeffs])
     chain: list[list[int]] = []  # chain[a]: coefficients of h_a
 
     def h(a: int) -> Polynomial:
         while a >= len(chain):
             chain.extend(_companion_powers(monic, len(chain), SHIFT_BATCH, half).tolist())
-        return Polynomial(field, chain[a])
+        return Polynomial._from_ints(field, chain[a])
 
     h0 = h(0)
     roots: list[int] = []

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,13 @@ import pytest
 import matlen
 from matlen.certificates import BoundEntry, BoundLedger
 from matlen.cli import _admissible_params, main
-from matlen.errors import FamilyHypothesisViolated, ParseError
+from matlen.errors import (
+    BudgetExceeded,
+    FamilyHypothesisViolated,
+    GenerationRetriesExhausted,
+    NotSplit,
+    ParseError,
+)
 from matlen.length import LengthReport
 from matlen.reports import collect_violations, parse_instance, report_to_csv
 
@@ -364,6 +372,8 @@ class TestFuzzCommand:
             for mod in (matlen.certificates, matlen.cli, matlen.instances, matlen.reports):
                 if getattr(mod, name, None) is real:
                     monkeypatch.setattr(mod, name, wrapper)
+        # The counters live in this process: run the campaign here, not in workers.
+        monkeypatch.setattr(matlen.cli, "_fuzz_workers", lambda tasks: 1)
         out = tmp_path / "report.json"
         args = ["fuzz", "--family", "RANDOM,T10,T12,THM39", "--n", "4", "--count", "6", "--out", str(out)]
         assert main(args) == 0
@@ -404,6 +414,78 @@ class TestFuzzCommand:
         body = json.loads(out.read_text())
         assert body["summary"]["skipped"] == 2
         monkeypatch.setattr(cli_mod, "build_instance_with_meta", real)
+
+
+def patch_build(monkeypatch, exc_type, fails):
+    """Make instance generation raise exc_type, naming the spec's seed, wherever fails(spec)."""
+    import matlen.cli as cli_mod
+
+    real = cli_mod.build_instance_with_meta
+
+    def build(spec):
+        if fails(spec):
+            raise exc_type(f"synthetic failure at seed {spec.seed}")
+        return real(spec)
+
+    monkeypatch.setattr(cli_mod, "build_instance_with_meta", build)
+
+
+class TestFuzzWorkers:
+    """The worker pool against the serial path: same bytes, exit code and stderr."""
+
+    def run(self, monkeypatch, capsys, tmp_path, args, workers):
+        import matlen.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "_fuzz_workers", lambda tasks: workers)
+        out = tmp_path / f"report_{workers}.json"
+        rc = main(["fuzz", *args, "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        report = out.read_bytes() if out.exists() else None
+        return rc, report, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, skip_odd",
+        [
+            # The campaign of test_seed3_campaign_report_is_pinned.
+            (["--family", "RANDOM,T10,T12,THM39", "--n", "4,6,8,10", "--p", "101",
+              "--count", "15", "--seed", "3"], False),
+            # Exhausted retries are caught inside the workers and become records.
+            (["--family", "RANDOM,T10", "--n", "4,6", "--count", "5", "--seed", "2"], True),
+            (["--family", "T11", "--n", "5,7", "--p", "1048573", "--count", "4", "--seed", "1"], False),
+        ],
+        ids=["seed3-pinned", "skipped", "t11-wide-field"],
+    )
+    def test_pool_report_is_byte_identical_to_serial(self, monkeypatch, capsys, tmp_path, args, skip_odd):
+        if skip_odd:
+            patch_build(monkeypatch, GenerationRetriesExhausted, lambda spec: spec.seed % 2)
+        serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
+        pooled = self.run(monkeypatch, capsys, tmp_path, args, 2)
+        assert serial[0] == 0 and serial[1]
+        assert pooled == serial
+        summary = json.loads(serial[1])["summary"]
+        assert (0 < summary["skipped"] < summary["instances"]) == skip_odd
+
+    @pytest.mark.parametrize(
+        "exc_type, code, prefix",
+        [(BudgetExceeded, 2, "error"), (ValueError, 2, "error"), (NotSplit, 3, "unsupported instance")],
+        ids=["budget", "value", "not-split"],
+    )
+    def test_worker_error_matches_serial(self, monkeypatch, capsys, tmp_path, exc_type, code, prefix):
+        # Every non-RANDOM instance fails, each with its own message: the
+        # error reported is the first in campaign order, on either path, even
+        # when a worker raises a later one sooner.
+        def fails(spec):
+            if spec.family == "T10":
+                time.sleep(0.1)
+            return spec.family != "RANDOM"
+
+        patch_build(monkeypatch, exc_type, fails)
+        args = ["--family", "RANDOM,T10,T12", "--n", "4", "--count", "3", "--seed", "4"]
+        serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
+        pooled = self.run(monkeypatch, capsys, tmp_path, args, 3)
+        assert serial[0] == code and serial[1] is None
+        assert serial[2].startswith(f"{prefix}: synthetic failure at seed ")
+        assert pooled == serial
 
 
 class TestCsvHelper:

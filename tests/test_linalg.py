@@ -34,6 +34,7 @@ from matlen.linalg import (
     rank,
     rref,
 )
+from matlen.spectral import minimal_polynomial
 from reference import FullRowBasis, powmod
 
 F7 = PrimeField(7)
@@ -131,6 +132,50 @@ class TestPolynomialInput:
     def test_non_integer_coefficients_rejected(self, coeff):
         with pytest.raises(ParseError, match="must be integers"):
             Polynomial(F7, [1, coeff])
+
+
+def assert_canonical(poly: Polynomial) -> None:
+    """poly is what the public constructor makes of its own coefficients."""
+    assert all(type(c) is int for c in poly.coeffs)
+    assert poly == Polynomial(poly.field, list(poly.coeffs))
+
+
+class TestInternalConstructor:
+    # The package builds its results through Polynomial._from_ints, which
+    # skips the public constructor's type checks but must agree with it.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.sampled_from([2, 7, 101, 1048573]),
+        cs=st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), max_size=8),
+    )
+    def test_matches_public_constructor(self, p, cs):
+        field = PrimeField(p)
+        assert Polynomial._from_ints(field, cs) == Polynomial(field, cs)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 7, 101, 1048573]),
+        a=st.lists(st.integers(0, 2**20), max_size=9),
+        b=st.lists(st.integers(0, 2**20), max_size=6),
+        lam=st.integers(0, 2**20),
+    )
+    def test_arithmetic_results_are_canonical(self, p, a, b, lam):
+        field = PrimeField(p)
+        a, b = Polynomial(field, a), Polynomial(field, b)
+        results = [a.mul(b), a.sub(b), b.sub(a), a.gcd(b), a.divmod_linear(lam)[0],
+                   Polynomial.zero(field), Polynomial.one(field)]
+        if b.degree >= 0:
+            results += a.divmod(b)
+        for poly in results:
+            assert_canonical(poly)
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.sampled_from([2, 7, 101, 1048573]), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_minimal_polynomial_is_canonical(self, p, n, seed):
+        field = PrimeField(p)
+        rng = np.random.default_rng(seed)
+        assert_canonical(minimal_polynomial(random_matrix(field, n, rng)))
+        assert_canonical(minimal_polynomial(nilpotent_jordan(field, n)))
 
 
 def poly_strategy(max_degree: int):
