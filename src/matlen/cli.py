@@ -1,8 +1,9 @@
 """Command-line surface: length, analyze, verify, fuzz, oracle-check.
 
-Exit codes: 0 success / no violation, 1 violation found, 2 usage or parse
-error (an unwritable --out too), 3 unsupported instance. Reports are
-deterministic given the seed.
+Each cmd_* returns its config and its records; `main` alone builds the
+report, writes it and picks the exit code: 0 when the report counts no
+violation, else 1; 2 usage or parse error (an unwritable --out too), 3
+unsupported instance. Reports are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .instances import (
     random_generating_set,
     random_jordan_spec,
 )
-from .length import brute_force_length, compute_length
+from .length import GeneratingSet, brute_force_length, compute_length
 from .linalg import PrimeField
 
 EXIT_OK = 0
@@ -49,23 +50,29 @@ DEFAULT_P = 101
 _FAMILY_CODE = {name: i for i, name in enumerate(FAMILIES)}
 
 
-def _parse_orders(text: str) -> list[int]:
-    """The nonempty comma-separated list of matrix orders given to --n."""
+def _campaign(args: argparse.Namespace) -> tuple[list[int], PrimeField]:
+    """The orders and field of a generated fuzz or oracle-check campaign, once
+    --count, the nonempty comma-separated --n list, --seed and --p are checked."""
+    if args.count < 1:
+        raise EmptySet(f"count must be at least 1, got {args.count}")
     try:
-        ns = [int(part) for part in text.split(",") if part]
+        ns = [int(part) for part in args.n.split(",") if part]
     except ValueError as exc:
-        raise ParseError(f"expected a comma-separated integer list, got {text!r}") from exc
+        raise ParseError(f"expected a comma-separated integer list, got {args.n!r}") from exc
     if not ns:
         raise ParseError("--n must list at least one order")
     for n in ns:
         if n < 1:
             raise ParseError(f"--n orders must be at least 1, got {n}")
-    return ns
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
+    return ns, PrimeField(args.p)
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ParseError(f"--seed must be non-negative, got {seed}")
+def _record(index: int, gs: GeneratingSet, fields: dict) -> dict:
+    """A report record: the index, n, p and matrices header, then fields."""
+    matrices = [g.entries.tolist() for g in gs.gens]
+    return {"index": index, "n": gs.n, "p": gs.field.p, "matrices": matrices, **fields}
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
@@ -122,7 +129,8 @@ def derive_instance_spec(
     return InstanceSpec(n=n, p=p, jordan=jordan, extra_gens=extra, seed=spec_seed, family=family)
 
 
-def _fuzz_one(family: str, n: int, p: int, master_seed: int, index: int) -> dict:
+def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
+    family, n, p, master_seed, index = task
     spec = derive_instance_spec(family, n, p, master_seed, index)
     base = {
         "index": index,
@@ -137,17 +145,10 @@ def _fuzz_one(family: str, n: int, p: int, master_seed: int, index: int) -> dict
     try:
         built = build_instance_with_meta(spec)
     except GenerationRetriesExhausted as exc:
-        base["skipped"] = str(exc)
-        return base
-    record = reports.evaluate_instance(built.generating_set, built.length_report)
-    record.update(base)
-    record["matrices"] = [g.entries.tolist() for g in built.generating_set.gens]
-    record["retries"] = built.retries
-    return record
-
-
-def _fuzz_task(task: tuple[str, int, int, int, int]) -> dict:
-    return _fuzz_one(*task)
+        return {**base, "skipped": str(exc)}
+    gs = built.generating_set
+    fields = reports.evaluate_instance(gs, built.length_report)
+    return _record(index, gs, {**fields, **base, "retries": built.retries})
 
 
 def _fuzz_workers(tasks: list) -> int:
@@ -169,18 +170,14 @@ def _fuzz_workers(tasks: list) -> int:
 FUZZ_CHUNK = 8
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
-    if args.count < 1:
-        raise EmptySet(f"count must be at least 1, got {args.count}")
+def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     families = [f.strip().upper() for f in args.family.split(",") if f.strip()]
     if not families:
         raise ParseError("--family must list at least one family")
     for fam in families:
         if fam not in FAMILIES:
             raise ParseError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
-    ns = _parse_orders(args.n)
-    _check_seed(args.seed)
-    PrimeField(args.p)  # validate modulus up front
+    ns, _ = _campaign(args)
     for fam in families:
         for n in ns:
             _admissible_params(fam, n)
@@ -192,7 +189,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         # The serial path, and the reference the pool is tested against.
-        records = list(map(_fuzz_task, tasks))
+        records = list(map(_fuzz_one, tasks))
     else:
         # Forked workers inherit the imported numpy and matlen (and any
         # monkeypatched helper). Spawn and forkserver re-import them: a
@@ -205,128 +202,77 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         # benchmark run `main` again and again in one process.
         pool = multiprocessing.get_context("fork").Pool(workers)
         try:
-            records = list(pool.imap(_fuzz_task, tasks, FUZZ_CHUNK))
+            records = list(pool.imap(_fuzz_one, tasks, FUZZ_CHUNK))
             pool.close()
         except BaseException:
             pool.terminate()
             raise
         finally:
             pool.join()
-    config = {
-        "command": "fuzz",
-        "count": args.count,
-        "families": families,
-        "n": ns,
-        "p": args.p,
-        "seed": args.seed,
-    }
-    report = reports.make_report("fuzz", config, records)
-    _write_output(report, args.out, args.format)
-    return EXIT_OK if report["summary"]["violation_count"] == 0 else EXIT_VIOLATION
+    config = {"count": args.count, "families": families, "n": ns, "p": args.p, "seed": args.seed}
+    return config, records
 
 
-def cmd_length(args: argparse.Namespace) -> int:
+def cmd_length(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     gs = reports.load_instance(args.input)
     rep = compute_length(gs, max_levels=args.max_level)
-    record = {
-        "index": 0,
-        "n": gs.n,
-        "p": gs.field.p,
-        "matrices": [g.entries.tolist() for g in gs.gens],
-        "length_report": reports.length_report_to_json(rep),
-        "violations": [],
-    }
-    report = reports.make_report("length", {"command": "length", "input": args.input}, [record])
-    _write_output(report, args.out, args.format)
-    return EXIT_OK
+    fields = {"length_report": reports.length_report_to_json(rep), "violations": []}
+    return {"input": args.input}, [_record(0, gs, fields)]
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     gs = reports.load_instance(args.input)
     analyses = analyze_generators(gs)
-    record = {
-        "index": 0,
-        "n": gs.n,
-        "p": gs.field.p,
-        "matrices": [g.entries.tolist() for g in gs.gens],
-        **reports.analysis_fields(analyses, bound_ledger(gs, analyses)),
-        "violations": [],
-    }
+    fields = {**reports.analysis_fields(analyses, bound_ledger(gs, analyses)), "violations": []}
     nonsplit = [a.index for a in analyses if a.split_error is not None]
     if nonsplit:
-        record["warnings"] = [
+        fields["warnings"] = [
             f"generator {i} has a non-split spectrum; Jordan-dependent bounds are undecidable"
             for i in nonsplit
         ]
-    report = reports.make_report("analyze", {"command": "analyze", "input": args.input}, [record])
-    _write_output(report, args.out, args.format)
-    if nonsplit:
-        print("warning: non-split spectrum; some ledger rows are undecidable", file=sys.stderr)
-    return EXIT_OK
+    return {"input": args.input}, [_record(0, gs, fields)]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     gs = reports.load_instance(args.input)
-    record = reports.evaluate_instance(gs, compute_length(gs))
-    record["index"] = 0
-    record["matrices"] = [g.entries.tolist() for g in gs.gens]
-    report = reports.make_report("verify", {"command": "verify", "input": args.input}, [record])
-    _write_output(report, args.out, args.format)
-    return EXIT_OK if not record["violations"] else EXIT_VIOLATION
+    fields = reports.evaluate_instance(gs, compute_length(gs))
+    return {"input": args.input}, [_record(0, gs, fields)]
 
 
-def cmd_oracle_check(args: argparse.Namespace) -> int:
+def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     if args.input is not None:
-        sets = [(0, reports.load_instance(args.input))]
-        config = {"command": "oracle-check", "input": args.input}
+        sets = [reports.load_instance(args.input)]
+        ns = [sets[0].n]
+        config = {"input": args.input}
     else:
-        if args.count < 1:
-            raise EmptySet(f"count must be at least 1, got {args.count}")
-        ns = _parse_orders(args.n)
-        _check_seed(args.seed)
-        field = PrimeField(args.p)
-        sets = []
-        index = 0
-        for n in ns:
-            if n > 3:
-                raise ValueError(f"oracle-check supports n <= 3, got {n}")
-            for i in range(args.count):
-                state = np.random.SeedSequence((args.seed, n, i)).generate_state(1, np.uint64)
-                sets.append((index, random_generating_set(n, field, 2, int(state[0]))))
-                index += 1
-        config = {
-            "command": "oracle-check",
-            "count": args.count,
-            "n": ns,
-            "p": args.p,
-            "seed": args.seed,
-        }
+        ns, field = _campaign(args)
+
+        def generated(n: int, i: int) -> GeneratingSet:
+            state = np.random.SeedSequence((args.seed, n, i)).generate_state(1, np.uint64)
+            return random_generating_set(n, field, 2, int(state[0]))
+
+        # Drawn lazily, in the loop below, once every order has passed its check.
+        sets = (generated(n, i) for n in ns for i in range(args.count))
+        config = {"count": args.count, "n": ns, "p": args.p, "seed": args.seed}
+    for n in ns:
+        if n > 3:
+            raise ValueError(f"oracle-check supports n <= 3, got {n}")
     records = []
-    for index, gs in sets:
-        if gs.n > 3:
-            raise ValueError(f"oracle-check supports n <= 3, got {gs.n}")
+    for index, gs in enumerate(sets):
         if len(gs.gens) > 3:
             raise ValueError(f"oracle-check supports at most 3 generators, got {len(gs.gens)}")
         max_len = args.max_level if args.max_level is not None else gs.n * gs.n
         fast = compute_length(gs)
         slow = brute_force_length(gs, max_len)
-        match = fast == slow
-        records.append(
-            {
-                "index": index,
-                "n": gs.n,
-                "p": gs.field.p,
-                "matrices": [g.entries.tolist() for g in gs.gens],
-                "length_report": reports.length_report_to_json(fast),
-                "oracle_report": reports.length_report_to_json(slow),
-                "violations": []
-                if match
-                else [{"bound": "oracle_mismatch", "bound_value": -1, "length": -1}],
-            }
-        )
-    report = reports.make_report("oracle-check", config, records)
-    _write_output(report, args.out, args.format)
-    return EXIT_OK if report["summary"]["violation_count"] == 0 else EXIT_VIOLATION
+        fields = {
+            "length_report": reports.length_report_to_json(fast),
+            "oracle_report": reports.length_report_to_json(slow),
+            "violations": []
+            if fast == slow
+            else [{"bound": "oracle_mismatch", "bound_value": -1, "length": -1}],
+        }
+        records.append(_record(index, gs, fields))
+    return config, records
 
 
 # Built once per process: parse_args leaves the parser unchanged, and building
@@ -389,7 +335,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        config, records = args.func(args)
+        report = reports.make_report(args.command, {"command": args.command, **config}, records)
+        _write_output(report, args.out, args.format)
     except (ParseError, NotPrime, EmptySet, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -405,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
     except MatlenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if any("warnings" in r for r in records):
+        print("warning: non-split spectrum; some ledger rows are undecidable", file=sys.stderr)
+    return EXIT_OK if report["summary"]["violation_count"] == 0 else EXIT_VIOLATION
 
 
 def run() -> None:

@@ -147,12 +147,10 @@ def analysis_fields(analyses: list[GeneratorAnalysis], ledger: BoundLedger) -> d
 
 
 def evaluate_instance(gs: GeneratingSet, rep: LengthReport) -> dict:
-    """Full verification record: ledger and certificates, checked against rep = compute_length(gs)."""
+    """A verify record's fields below its header, checked against rep = compute_length(gs)."""
     analyses = analyze_generators(gs)
     ledger = bound_ledger(gs, analyses)
     record: dict[str, Any] = {
-        "n": gs.n,
-        "p": gs.field.p,
         **analysis_fields(analyses, ledger),
         "length_report": length_report_to_json(rep),
         "violations": collect_violations(ledger, rep),

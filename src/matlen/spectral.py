@@ -146,8 +146,9 @@ def split_roots(poly: Polynomial) -> Spectrum:
 
     Finds the distinct roots with `scan_roots` while p <= SCAN_MAX_P and with
     `splitting_roots` above, then divides each root out to its full
-    multiplicity by synthetic division. Raises NotSplit if a nonlinear factor
-    remains.
+    multiplicity by synthetic division. Each is a root of what remains, since
+    only other linear factors were divided out, and both finders return the
+    roots ascending. Raises NotSplit if a nonlinear factor remains.
     """
     p = poly.field.p
     root_vals = scan_roots(poly) if p <= SCAN_MAX_P else splitting_roots(poly)
@@ -161,13 +162,11 @@ def split_roots(poly: Polynomial) -> Spectrum:
                 break
             remaining = quot
             mult += 1
-        if mult:
-            roots.append((int(lam), mult))
+        roots.append((int(lam), mult))
     if remaining.degree != 0:
         raise NotSplit(
             f"minimal polynomial has a degree-{remaining.degree} factor with no roots in F_{p}"
         )
-    roots.sort()
     return Spectrum(roots=tuple(roots))
 
 

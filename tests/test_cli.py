@@ -144,6 +144,89 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
+# Every command's stdout bytes, exit code and stderr, as the parent of the
+# one-pipeline `main` wrote them. Inputs are named relative to the fixtures
+# directory because the input path is part of the report; {tmp} stands for
+# the test's temporary directory.
+PINNED_FIXTURES = ["nonsplit_f7", "nonsplit_p1048573", "t10_n10_p1048573", "t10_n4", "t12_n4"]
+PINNED_ARGV = {
+    f"{command}-{fmt}-{name}": [command, "--input", f"{name}.json", "--format", fmt]
+    for command in ("length", "analyze", "verify", "oracle-check")
+    for fmt in ("json", "csv")
+    for name in PINNED_FIXTURES
+}
+PINNED_ARGV.update(
+    {
+        "oracle-check-generated": ["oracle-check", "--count", "30", "--n", "2,3", "--seed", "1"],
+        "oracle-check-large-order": ["oracle-check", "--count", "2", "--n", "4"],
+        "fuzz-zero-count": ["fuzz", "--count", "0", "--n", "4"],
+        "fuzz-composite-p": ["fuzz", "--count", "2", "--n", "4", "--p", "100"],
+        "length-unwritable-out": ["length", "--input", "nonsplit_f7.json", "--out", "{tmp}/absent/x.json"],
+        "analyze-unwritable-out": ["analyze", "--input", "nonsplit_f7.json", "--out", "{tmp}/absent/x.json"],
+    }
+)
+EMPTY = hashlib.sha256(b"").hexdigest()
+NONSPLIT_WARNING = "warning: non-split spectrum; some ledger rows are undecidable\n"
+PINS = {
+    "length-json-nonsplit_f7": ("508d489f63b33e82d917758f0ed5a5a122166a3f47d04f793b495d741f902239", 0, ""),
+    "length-json-nonsplit_p1048573": ("b563af4015e1ce0b7ba0aadf941c0bcd1f340fac518abad5f993809cff423d80", 0, ""),
+    "length-json-t10_n10_p1048573": ("995408d221fd6eb9dfa7bc56cfb131a36b24e3ae71e30296796a40bfa5927753", 0, ""),
+    "length-json-t10_n4": ("a3154c1ba459b1e7a990ece4e7e9261b480fdf848b0f9ae504cb3364163ed657", 0, ""),
+    "length-json-t12_n4": ("e5cfccce4cb95ca01b6ee40b54464818be307a3c651faef97137364ecf0b9706", 0, ""),
+    "length-csv-nonsplit_f7": ("aeb79c66b339175283fc50a2ffc7cc94f95380349845fae4069be19960604d60", 0, ""),
+    "length-csv-nonsplit_p1048573": ("e0064339c803dff05d5903bf0105927c71b1178c5311430083742a81553207fc", 0, ""),
+    "length-csv-t10_n10_p1048573": ("70f22addb7d7163e6c821dbde91b7bbed13e165a546296c98af12d3ec46b588c", 0, ""),
+    "length-csv-t10_n4": ("3e7c506a03f93f3422e25555c7ac1d2a67b52ae93149731e41fa37561582c32e", 0, ""),
+    "length-csv-t12_n4": ("513d6b210fb764a2849fcc059fb20c22cc70cd407a453c9611719ce68c22be5a", 0, ""),
+    "analyze-json-nonsplit_f7": ("7a238064409711fa7f19a09f5491ffdba1d8c30cb6608ba35a91a9d38b77ec7f", 0, NONSPLIT_WARNING),
+    "analyze-json-nonsplit_p1048573": ("49085584081b693130b99bb52341d1ce3a6c447a423f5268219d0f706032a959", 0, NONSPLIT_WARNING),
+    "analyze-json-t10_n10_p1048573": ("4c08d2e1ef7904aad606858f15a439b81631c65db0852eff6aeebc05629e415c", 0, ""),
+    "analyze-json-t10_n4": ("93d5f2bd9970d282455f5276aa6bbf9ba9396acbfca22cfb847a32d050aec80e", 0, ""),
+    "analyze-json-t12_n4": ("762ccf0829f256e96a0fd68b5a2140dac65b0875948af63201e0cac541a9360c", 0, ""),
+    "analyze-csv-nonsplit_f7": ("7d68b265653a9f6601480a55ca1522688c607a558942fa0df9a65c7f3a65d588", 0, NONSPLIT_WARNING),
+    "analyze-csv-nonsplit_p1048573": ("b0f761a3f7281aebb7245c05fc14a98160524b3977e417f5d70a9dbaf716c806", 0, NONSPLIT_WARNING),
+    "analyze-csv-t10_n10_p1048573": ("a05ba40c5f870502834da7ddae2d71cc54714d66b224d7a43d99c9cfac0963ad", 0, ""),
+    "analyze-csv-t10_n4": ("0fb7bdcc3dc73a14eefb75a33bf9cc3c07fe0523b8dcd3e8477592ec89a87b2b", 0, ""),
+    "analyze-csv-t12_n4": ("146bee0007aea89fe6873f2d3200aa1ab37cc93cb7bbaa6c9bda6c888d1b2046", 0, ""),
+    "verify-json-nonsplit_f7": ("d9751e4035b81d0099129f7f3483e874703dc0b67790c80b74df29f1283a45fb", 0, ""),
+    "verify-json-nonsplit_p1048573": ("989b30de856f7369fdd71c52331405feec53ef8ab05b2899b2e5ffef50a3d4f9", 0, ""),
+    "verify-json-t10_n10_p1048573": ("4865489819bd98040dfb98039f719548ad8e3e22e851f9028fe7225d4f6bfbc8", 0, ""),
+    "verify-json-t10_n4": ("d551452f43e497f77e8a11e89839720b287d52378936d57b26e7a48e767232cb", 0, ""),
+    "verify-json-t12_n4": ("722dffbccfa82d7b8fe694a3160aaada52c7fb5073eb1cb2a969810286f56833", 0, ""),
+    "verify-csv-nonsplit_f7": ("176fe1a9a1eaef152ba5c76a739b8d567646ac1b2b4d9e90c9f249897db54320", 0, ""),
+    "verify-csv-nonsplit_p1048573": ("62bacc3ad538ab1b871cf507e76c88a7f179385bc210878db13b67fff53be2aa", 0, ""),
+    "verify-csv-t10_n10_p1048573": ("d4d01a0c57a835e30425f631111ecccf921b2f4c847127f87038f82870a348ba", 0, ""),
+    "verify-csv-t10_n4": ("40e38f122a81758ce95d69ed707196f64d45cf4b36044f30efe8749c7fd09fe7", 0, ""),
+    "verify-csv-t12_n4": ("64508108be827d6b093ec764e9bd9ed914a43df71e6c39c9770c146c7e654426", 0, ""),
+    "oracle-check-json-nonsplit_f7": ("832f6ba76809d225a412f29a870ba1bd59836c78150681192ea58b262f71289d", 0, ""),
+    "oracle-check-json-nonsplit_p1048573": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-json-t10_n10_p1048573": (EMPTY, 2, "error: oracle-check supports n <= 3, got 10\n"),
+    "oracle-check-json-t10_n4": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-json-t12_n4": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-csv-nonsplit_f7": ("aeb79c66b339175283fc50a2ffc7cc94f95380349845fae4069be19960604d60", 0, ""),
+    "oracle-check-csv-nonsplit_p1048573": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-csv-t10_n10_p1048573": (EMPTY, 2, "error: oracle-check supports n <= 3, got 10\n"),
+    "oracle-check-csv-t10_n4": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-csv-t12_n4": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "oracle-check-generated": ("a8ef55687fbdd16fbde73dcbe08459fe48a97c14ec27cb66a9fdfc0c95570f9b", 0, ""),
+    "oracle-check-large-order": (EMPTY, 2, "error: oracle-check supports n <= 3, got 4\n"),
+    "fuzz-zero-count": (EMPTY, 2, "error: count must be at least 1, got 0\n"),
+    "fuzz-composite-p": (EMPTY, 2, "error: modulus 100 is not a prime number\n"),
+    "length-unwritable-out": (EMPTY, 2, "error: cannot write {tmp}/absent/x.json: No such file or directory\n"),
+    "analyze-unwritable-out": (EMPTY, 2, "error: cannot write {tmp}/absent/x.json: No such file or directory\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_ARGV))
+def test_command_output_is_pinned(case, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(FIXTURES)
+    code = main([arg.replace("{tmp}", str(tmp_path)) for arg in PINNED_ARGV[case]])
+    captured = capsys.readouterr()
+    digest, expected_code, expected_err = PINS[case]
+    assert (hashlib.sha256(captured.out.encode("utf-8")).hexdigest(), code) == (digest, expected_code)
+    assert captured.err == expected_err.replace("{tmp}", str(tmp_path))
+
+
 def paper_degrees(family, n):
     """Minimal-polynomial degrees each family admits at order n, from the paper's conditions."""
     if family == "T10":

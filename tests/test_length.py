@@ -17,6 +17,7 @@ from matlen.length import (
     is_generating,
 )
 from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, mat_mul
+from matlen.spectral import minimal_polynomial
 from reference import FullRowBasis
 
 F101 = PrimeField(101)
@@ -231,6 +232,19 @@ class TestBruteForce:
     def test_unresolved_trace_is_an_error(self):
         with pytest.raises(BudgetExceeded):
             brute_force_length(units_pair(), 1)
+
+    @pytest.mark.parametrize("p, index", [(2, 2), (5, 14)])
+    def test_three_quadratic_generators_at_n4_exceed_2_log2_n(self, p, index):
+        # T12 fuzz instances at n = 4 (seed 0) whose three generators all have
+        # quadratic minimal polynomials, yet whose length is 5 > ceil(2 log2 4)
+        # = 4, the quadratic_minpoly ledger row. The all-words oracle agrees
+        # with the engine, so the trace is right and the row's stated
+        # hypothesis is too weak.
+        gs = build_instance_with_meta(derive_instance_spec("T12", 4, p, 0, index)).generating_set
+        assert [minimal_polynomial(g).degree for g in gs.gens] == [2, 2, 2]
+        rep = compute_length(gs)
+        assert rep == brute_force_length(gs, 6)
+        assert rep.dims == (1, 4, 8, 12, 15, 16) and rep.length == 5
 
 
 class TestInvariance:
