@@ -123,7 +123,7 @@ def random_jordan_spec(
     # Random composition of `degree` into s positive parts.
     cuts = sorted(rng.choice(np.arange(1, degree), size=s - 1, replace=False).tolist()) if s > 1 else []
     exps = [b - a for a, b in zip([0] + cuts, cuts + [degree])]
-    eigs = rng.choice(np.arange(f.p), size=s, replace=False).astype(np.int64).tolist()
+    eigs = rng.choice(f.p, size=s, replace=False).tolist()
     blocks = [(int(lam), int(e)) for lam, e in zip(eigs, exps)]
     remaining = n - degree
     while remaining > 0:

@@ -18,9 +18,9 @@ from .linalg import Matrix, PrimeField, SpanBasis, _reduce, _rref_array, mat_mul
 BRUTE_FORCE_WORD_GUARD = 10**6
 # Candidate words per block insert. On random 2-generator sets over F_101
 # (2-core x86 VM, three runs each), 64, 128 and 256 ran the
-# benchmark's n = 16-32 mix at 26.6-26.9, 25.9-27.1 and 24.2-24.4 sets/s,
-# and one n = 48 set in 0.65-0.68, 0.64-0.69 and 0.66-0.75 s. No size won
-# at every n, so 128 stays.
+# benchmark's n = 16-32 mix at 37.2-41.6, 40.2-41.2 and 33.2-38.8 sets/s,
+# and one n = 48 set in 0.46-0.60, 0.43-0.44 and 0.48-0.54 s. 128 was
+# fastest or level at both sizes, so it stays.
 BLOCK_ROWS = 128
 
 

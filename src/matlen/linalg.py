@@ -9,9 +9,11 @@ SpanBasis stores only the free columns of its RREF basis, a d x
 (ambient_dim - d) block, and has its own bound, stated and checked in
 `_accumulator_dtype`: it works in float64, so that its products run through
 BLAS, while ambient_dim * (p-1)^2 + p <= 2^53, and in int64 while
-ambient_dim * (p-1)^2 is below 2^63. Its float64 blocks are reduced by
-`_reduce`, x - p * floor(x / p), which is exact for integers |x| <= 2^53 - p;
-the `+ p` in the float64 rule is that precondition.
+ambient_dim * (p-1)^2 is below 2^63. Its float64 arrays, blocks and single
+rows alike, are reduced by `_reduce`: x - p * floor(x / p) from REDUCE_SMALL
+entries up, np.remainder below, where one ufunc call costs less. Both are
+exact for integers |x| <= 2^53 - p; the `+ p` in the float64 rule is that
+precondition.
 """
 
 from __future__ import annotations
@@ -474,11 +476,12 @@ def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
 
 
 # SpanBasis stores a basis of dimension d as R, its d x (ambient_dim - d)
-# block on the free columns, and forms three kinds of product: a block of
+# block on the free columns, and forms four kinds of product: a block of
 # vectors reduced against the basis, v[free] - v[pivots] @ R, sums d <=
-# ambient_dim terms; the merge of k new rows, R[:, keep] - R[:, lp] @ new,
-# sums k <= ambient_dim terms; and each candidate word compute_length builds
-# from n x n matrices sums n <= ambient_dim terms. Each term is a product of
+# ambient_dim terms; the local elimination's products over the k rows kept
+# so far, and the merge of k new rows, R[:, keep] - R[:, lp] @ new, sum k <=
+# ambient_dim terms; and each candidate word compute_length builds from
+# n x n matrices sums n <= ambient_dim terms. Each term is a product of
 # two residues in [0, p), so every partial sum is an integer of magnitude
 # below ambient_dim * (p-1)^2, and its difference with a residue stays within
 # that bound. float64 holds all such integers exactly, whatever order BLAS
@@ -505,23 +508,32 @@ def _accumulator_dtype(ambient_dim: int, p: int) -> type:
 # cache: on a 2048 x 2048 array (2-core x86 VM) this ran 3-4x faster than
 # one whole-array pass, which also needs a temporary as large as the array.
 REDUCE_CHUNK = 1 << 15
+# Below this many entries, _reduce takes np.remainder on float64 as well: its
+# one ufunc call costs less than divide, floor, multiply and subtract there.
+# On a 2-core x86 VM (1-D arrays, best of 5) np.remainder took 1.4-2.0 us
+# against 3.8-4.0 us at 16 entries and 18-19 us against 4.2-4.9 us at 1024;
+# the two are within noise of each other from 64 to 224 entries.
+REDUCE_SMALL = 256
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce x mod p in place and return it: int64 by np.remainder, float64 by divide-and-floor.
+    """Reduce x mod p in place and return it: int64 and small float64 arrays
+    by np.remainder, larger float64 arrays by divide-and-floor.
 
     Precondition for float64: every entry is an integer with |x| <= 2^53 - p.
-    Write x = m*p + r with 0 <= r < p. The true quotient x/p = m + r/p is m
-    itself when r = 0, exactly representable since |m| < 2^53; otherwise it
-    lies at least 1/p away from both m and m + 1. A correctly rounded
-    division errs by at most half an ulp of |x/p|, below |x/p| * 2^-53 <
-    1/p, and rounding is monotonic, so floor(x / p) is exactly m. Then
-    |m*p| = |x - r| <= 2^53 - 1 is exact, and so is x - m*p = r.
-    (Multiplying by a rounded 1/p instead carries no such guarantee.)
+    np.remainder is exact on such floats: fmod's result is always exactly
+    representable, and its sign fix adds p to an integer in (-p, 0).
+    Divide-and-floor: write x = m*p + r with 0 <= r < p. The true quotient
+    x/p = m + r/p is m itself when r = 0, exactly representable since |m| <
+    2^53; otherwise it lies at least 1/p away from both m and m + 1. A
+    correctly rounded division errs by at most half an ulp of |x/p|, below
+    |x/p| * 2^-53 < 1/p, and rounding is monotonic, so floor(x / p) is
+    exactly m. Then |m*p| = |x - r| <= 2^53 - 1 is exact, and so is x - m*p
+    = r. (Multiplying by a rounded 1/p instead carries no such guarantee.)
     """
-    if x.dtype != np.float64:
+    if x.dtype != np.float64 or x.size < REDUCE_SMALL:
         return np.remainder(x, p, out=x)
-    rows = max(1, REDUCE_CHUNK * len(x) // max(x.size, 1))
+    rows = max(1, REDUCE_CHUNK * len(x) // x.size)
     for start in range(0, len(x), rows):
         part = x[start : start + rows]
         q = part / p
@@ -634,39 +646,49 @@ class SpanBasis:
         free = self._free if d else np.arange(self.ambient_dim)
         res = self._residues(b) if d else b
         # Local elimination in candidate order, on the f free columns. new[:k]
-        # holds the rows kept so far, each reduced against those before it, so
-        # new[:k, lp] is unit upper triangular; inv_u is its inverse, extended
-        # by one column per kept row, and a row's residue against new[:k]
-        # takes two products. Once k == f the kept rows span every free
-        # column, so each later row is dependent and the loop stops.
+        # holds the rows kept so far, each reduced against those before it and
+        # stored unscaled, so new[:k, lp[:k]] is upper triangular with the
+        # pivot values u on its diagonal; inv_u is its inverse, extended by one
+        # column per kept row, and a row's residue against new[:k] takes two
+        # products. Once k == f the kept rows span every free column, so each
+        # later row is dependent and the loop stops.
         f = len(free)
         most = min(len(res), f)
         new = np.empty((most, f), dtype=self.dtype)
         inv_u = np.zeros((most, most), dtype=self.dtype)
-        lp: list[int] = []
+        lp = np.empty(most, dtype=np.intp)
         accepted: list[int] = []
+        k = 0
         for i, v in enumerate(res):
-            k = len(lp)
             if k == f:
                 break
             if k:
-                coeffs = (v[lp] @ inv_u[:k, :k]) % p
+                # Both products sum k <= ambient_dim products of residues:
+                # within the basis's exactness bound, as is v minus the second.
+                coeffs = _reduce(v[lp[:k]] @ inv_u[:k, :k], p)
                 if coeffs.any():
-                    v = (v - coeffs @ new[:k]) % p
+                    v = _reduce(v - coeffs @ new[:k], p)
             nz = np.flatnonzero(v)
             if nz.size == 0:
                 continue
             j = int(nz[0])
-            new[k] = (v * self.field.inv(int(v[j]))) % p
-            inv_u[:k, k] = -(inv_u[:k, :k] @ new[:k, j]) % p
-            inv_u[k, k] = 1
-            lp.append(j)
+            s = self.field.inv(int(v[j]))
+            new[k] = v
+            # The inverse of [[U, c], [0, u]] is [[U^-1, -s U^-1 c], [0, s]]
+            # with s = 1/u. U^-1 c sums k products of residues, and its
+            # residue times p - s is below p^2 <= 2^40.
+            col = _reduce(inv_u[:k, :k] @ new[:k, j], p)
+            col *= p - s
+            inv_u[:k, k] = _reduce(col, p)
+            inv_u[k, k] = s
+            lp[k] = j
             accepted.append(i)
-        k = len(lp)
+            k += 1
         if k:
             # The kept rows in RREF are I on lp and new_keep on the columns
             # that stay free; each old row drops its lp entries by subtracting
-            # R[:, lp] @ [I | new_keep].
+            # R[:, lp] @ [I | new_keep]. inv_u @ new sums k products of residues.
+            lp = lp[:k]
             keep = np.delete(np.arange(f), lp)
             new_keep = _reduce(inv_u[:k, :k] @ new[:k][:, keep], p)
             r = np.empty((d + k, f - k), dtype=self.dtype)

@@ -65,6 +65,38 @@ class TestRandomJordanSpec:
                 assert spec.order() == n
                 assert spec.minpoly_degree() == degree
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 101, 1048573])
+    def test_eigenvalue_draw_matches_the_arange_form(self, p):
+        # random_jordan_spec draws its eigenvalues as rng.choice(p, ...), which
+        # builds no array of all p residues. The arange form it replaced is the
+        # reference: the same draws, and the same generator state after them.
+        for seed in range(200):
+            for size in range(1, min(p, 5) + 1):
+                drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert (
+                    drawn.choice(p, size=size, replace=False).tolist()
+                    == reference.choice(np.arange(p), size=size, replace=False).tolist()
+                )
+                assert drawn.integers(2**62) == reference.integers(2**62)
+
+    def test_golden_specs(self):
+        # Pinned output of the arange form, before it was replaced.
+        golden = {
+            5: [
+                ((2, 1), (1, 1), (0, 1), (2, 1), (4, 1), (0, 1)),
+                ((2, 2), (1, 3), (2, 1)),
+                ((4, 3), (3, 1), (2, 2)),
+            ],
+            1048573: [
+                ((874142, 1), (813360, 1), (236145, 1), (874142, 1), (58228, 1), (236145, 1)),
+                ((754417, 2), (267249, 3), (754417, 1)),
+                ((357590, 2), (734286, 2), (652399, 1), (1036996, 1)),
+            ],
+        }
+        for p, specs in golden.items():
+            rng = np.random.default_rng(7)
+            assert [random_jordan_spec(6, PrimeField(p), rng, degree=d).blocks for d in (4, 5, 6)] == specs
+
     def test_realized_by_matrix(self):
         rng = np.random.default_rng(19)
         for _ in range(25):

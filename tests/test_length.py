@@ -174,11 +174,13 @@ class TestBlockedEngine:
                 assert compute_length(gs) == sequential_length(gs)
         assert calls and all(calls)
 
-    def test_random_pair_at_24_equals_sequential_frontier_loop(self):
+    @pytest.mark.parametrize("p", [101, 1048573])
+    def test_random_pair_at_24_equals_sequential_frontier_loop(self, p):
         # Beyond the sweep's n <= 12: many blocks per level, and a basis R of
         # up to 288 x 288 entries, against the reference that stores every row.
+        field = PrimeField(p)
         rng = np.random.default_rng(0)
-        gs = GeneratingSet.of([Matrix(F101, rng.integers(0, 101, size=(24, 24))) for _ in range(2)])
+        gs = GeneratingSet.of([Matrix(field, rng.integers(0, p, size=(24, 24))) for _ in range(2)])
         rep = compute_length(gs)
         assert rep.is_generating and rep == sequential_length(gs)
 
@@ -291,6 +293,39 @@ class TestInvariance:
             p = random_invertible(3, F101, rng)
             conjugated = GeneratingSet.of([conjugate(p, g) for g in gs.gens])
             assert compute_length(conjugated) == compute_length(gs)
+
+
+@pytest.fixture(scope="module")
+def pair_at_48():
+    """One seeded random pair over F_101 at n = 48 and its dims trace."""
+    rng = np.random.default_rng(48)
+    gs = GeneratingSet.of([Matrix(F101, rng.integers(0, 101, size=(48, 48))) for _ in range(2)])
+    return gs, compute_length(gs).dims
+
+
+class TestInvarianceAt48:
+    """Metamorphic relations at a size no reference run reaches: each keeps every dim L_i."""
+
+    def test_simultaneous_conjugation(self, pair_at_48):
+        gs, dims = pair_at_48
+        change = random_invertible(48, F101, np.random.default_rng(1))
+        assert compute_length(GeneratingSet.of([conjugate(change, g) for g in gs.gens])).dims == dims
+
+    def test_transpose(self, pair_at_48):
+        gs, dims = pair_at_48
+        assert compute_length(transpose(gs)).dims == dims
+
+    def test_invertible_recombination_with_identity_shift(self, pair_at_48):
+        # Words over the new set expand into words over the old one of no
+        # greater length, and each old generator is a combination of the new
+        # ones and I, so every L_i is the same space.
+        gs, dims = pair_at_48
+        rng = np.random.default_rng(2)
+        c = random_invertible(2, F101, rng).entries
+        a, b = (g.entries for g in gs.gens)
+        identity = np.eye(48, dtype=np.int64)
+        shifted = [Matrix(F101, c[i, 0] * a + c[i, 1] * b + rng.integers(0, 101) * identity) for i in range(2)]
+        assert compute_length(GeneratingSet.of(shifted)).dims == dims
 
 
 class TestGeneratingSetValidation:

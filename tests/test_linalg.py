@@ -20,6 +20,7 @@ from matlen.errors import (
 )
 from matlen.instances import random_invertible
 from matlen.linalg import (
+    REDUCE_SMALL,
     Matrix,
     Polynomial,
     PrimeField,
@@ -544,6 +545,9 @@ class TestSpanBasis:
     # on the way.
     @example(p=101, ambient=6, seed=0, preloaded=4, size=40, cuts=[])
     @example(p=2, ambient=3, seed=1, preloaded=0, size=150, cuts=[75])
+    # Residue rows longer than REDUCE_SMALL, shrinking past it as the span grows.
+    @example(p=2, ambient=300, seed=2, preloaded=20, size=150, cuts=[40])
+    @example(p=1048573, ambient=300, seed=3, preloaded=0, size=150, cuts=[])
     @given(
         p=st.sampled_from([2, 101, 1048573]),
         ambient=st.integers(1, 24),
@@ -591,6 +595,9 @@ class TestSpanBasis:
         assert blocked.rows.dtype == np.int64
 
     @settings(max_examples=60, deadline=None)
+    # Residue rows longer than REDUCE_SMALL, shrinking past it as the span grows.
+    @example(p=2, ambient=300, seed=4, ops=[12] * 12)
+    @example(p=1048573, ambient=300, seed=5, ops=[1, 12, 0, 12, 12, 1] * 2)
     @given(
         p=st.sampled_from([2, 101, 1048573]),
         ambient=st.integers(1, 30),
@@ -707,7 +714,11 @@ class TestReduce:
     @given(p=st.sampled_from(REDUCE_PRIMES), data=st.data())
     def test_matches_python_remainder(self, p, data):
         bound = 2**53 - p
-        xs = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+        drawn = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+        # Repeated to lengths on both sides of REDUCE_SMALL, where float64
+        # arrays switch from np.remainder to divide-and-floor.
+        size = data.draw(st.integers(1, 2 * REDUCE_SMALL))
+        xs = [drawn[i % len(drawn)] for i in range(size)]
         expected = [x % p for x in xs]
         for dtype in (np.float64, np.int64):
             x = np.array(xs, dtype=dtype)
@@ -723,6 +734,10 @@ class TestReduce:
         xs += [bound, -bound]
         assert all(abs(x) <= bound for x in xs)
         assert _reduce(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]
+        # The last np.remainder size and the first divide-and-floor size.
+        for size in (REDUCE_SMALL - 1, REDUCE_SMALL):
+            edge = np.resize(np.array(xs, dtype=np.float64), size)
+            assert _reduce(edge.copy(), p).tolist() == [int(x) % p for x in edge]
         # Arrays of several REDUCE_CHUNK slices, along a first axis that does
         # not divide evenly into them, in the shapes the span engine reduces.
         grid = np.resize(np.array(xs, dtype=np.float64), (300, 257))
