@@ -7,12 +7,13 @@ them sums n terms below 2^40, so it is exact in int64 for every n < 2^23.
 
 SpanBasis stores only the free columns of its RREF basis, a d x
 (ambient_dim - d) block, and has its own bound, stated and checked in
-`_accumulator_dtype`: it works in float64, so that its products run through
-BLAS, while ambient_dim * (p-1)^2 + p <= 2^53, and in int64 while
-ambient_dim * (p-1)^2 is below 2^63. Its float64 arrays, blocks and single
-rows alike, are reduced by `_reduce`: x - p * floor(x / p) from REDUCE_SMALL
-entries up, np.remainder below, where one ufunc call costs less. Both are
-exact for integers |x| <= 2^53 - p; the `+ p` in the float64 rule is that
+`_accumulator_dtype`: it works in float32 while ambient_dim * (p-1)^2 + p <=
+2^24 and in float64 while it is at most 2^53, so that its products run
+through BLAS, and in int64 while ambient_dim * (p-1)^2 is below 2^63. Its
+float arrays, blocks and single rows alike, are reduced by `_reduce`:
+x - p * floor(x / p) from REDUCE_SMALL entries up, np.remainder below, where
+one ufunc call costs less. Both are exact for integers |x| <= 2^t - p, with
+t = 24 in float32 and 53 in float64; the `+ p` in each float rule is that
 precondition.
 """
 
@@ -484,16 +485,22 @@ def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
 # n x n matrices sums n <= ambient_dim terms. Each term is a product of
 # two residues in [0, p), so every partial sum is an integer of magnitude
 # below ambient_dim * (p-1)^2, and its difference with a residue stays within
-# that bound. float64 holds all such integers exactly, whatever order BLAS
-# sums them in, below 2^53, and `_reduce` maps them exactly to [0, p) while
-# they are at most 2^53 - p: hence float64 while ambient_dim * (p-1)^2 + p <=
-# 2^53 (every n <= 90 at p < 2^20). int64 holds them below 2^63.
+# that bound. A float type with a t-bit significand holds all such integers
+# exactly, whatever order BLAS sums them in, below 2^t, and `_reduce` maps
+# them exactly to [0, p) while they are at most 2^t - p. Hence float32 (t =
+# 24) while ambient_dim * (p-1)^2 + p <= 2^24 (every n <= 40 at p = 101, every
+# n <= 136 at p <= 31), which moves half the bytes of float64; then float64
+# (t = 53) while ambient_dim * (p-1)^2 + p <= 2^53 (every n <= 90 at p <
+# 2^20). int64 holds them below 2^63.
+FLOAT32_EXACT_BOUND = 1 << 24
 FLOAT64_EXACT_BOUND = 1 << 53
 INT64_EXACT_BOUND = 1 << 63
 
 
 def _accumulator_dtype(ambient_dim: int, p: int) -> type:
     worst = ambient_dim * (p - 1) ** 2
+    if worst + p <= FLOAT32_EXACT_BOUND:
+        return np.float32
     if worst + p <= FLOAT64_EXACT_BOUND:
         return np.float64
     if worst < INT64_EXACT_BOUND:
@@ -503,13 +510,14 @@ def _accumulator_dtype(ambient_dim: int, p: int) -> type:
     )
 
 
-# _reduce works through a float64 array in slices along its first axis of
-# about this many entries, so that each slice's quotient (256 KiB) stays in
-# cache: on a 2048 x 2048 array (2-core x86 VM) this ran 3-4x faster than
-# one whole-array pass, which also needs a temporary as large as the array.
+# _reduce works through a float array in slices along its first axis of
+# about this many entries, so that each slice's quotient (256 KiB in float64)
+# stays in cache: on a 2048 x 2048 float64 array (2-core x86 VM) this ran
+# 3-4x faster than one whole-array pass, which also needs a temporary as
+# large as the array.
 REDUCE_CHUNK = 1 << 15
-# Below this many entries, _reduce takes np.remainder on float64 as well: its
-# one ufunc call costs less than divide, floor, multiply and subtract there.
+# Below this many entries, _reduce takes np.remainder on float arrays as well:
+# its one ufunc call costs less than divide, floor, multiply and subtract there.
 # On a 2-core x86 VM (1-D arrays, best of 5) np.remainder took 1.4-2.0 us
 # against 3.8-4.0 us at 16 entries and 18-19 us against 4.2-4.9 us at 1024;
 # the two are within noise of each other from 64 to 224 entries.
@@ -517,21 +525,23 @@ REDUCE_SMALL = 256
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """Reduce x mod p in place and return it: int64 and small float64 arrays
-    by np.remainder, larger float64 arrays by divide-and-floor.
+    """Reduce x mod p in place and return it: int64 and small float arrays
+    by np.remainder, larger float32 and float64 arrays by divide-and-floor.
 
-    Precondition for float64: every entry is an integer with |x| <= 2^53 - p.
+    Precondition for a float type with a t-bit significand (t = 24 in
+    float32, 53 in float64): every entry is an integer with |x| <= 2^t - p.
     np.remainder is exact on such floats: fmod's result is always exactly
     representable, and its sign fix adds p to an integer in (-p, 0).
     Divide-and-floor: write x = m*p + r with 0 <= r < p. The true quotient
     x/p = m + r/p is m itself when r = 0, exactly representable since |m| <
-    2^53; otherwise it lies at least 1/p away from both m and m + 1. A
+    2^t; otherwise it lies at least 1/p away from both m and m + 1. A
     correctly rounded division errs by at most half an ulp of |x/p|, below
-    |x/p| * 2^-53 < 1/p, and rounding is monotonic, so floor(x / p) is
-    exactly m. Then |m*p| = |x - r| <= 2^53 - 1 is exact, and so is x - m*p
+    |x/p| * 2^-t < 1/p, and rounding is monotonic, so floor(x / p) is
+    exactly m. Then |m*p| = |x - r| <= 2^t - 1 is exact, and so is x - m*p
     = r. (Multiplying by a rounded 1/p instead carries no such guarantee.)
+    The Python int p does not promote a float32 x: every step stays float32.
     """
-    if x.dtype != np.float64 or x.size < REDUCE_SMALL:
+    if x.dtype.kind != "f" or x.size < REDUCE_SMALL:
         return np.remainder(x, p, out=x)
     rows = max(1, REDUCE_CHUNK * len(x) // x.size)
     for start in range(0, len(x), rows):
@@ -665,21 +675,23 @@ class SpanBasis:
             if k:
                 # Both products sum k <= ambient_dim products of residues:
                 # within the basis's exactness bound, as is v minus the second.
-                coeffs = _reduce(v[lp[:k]] @ inv_u[:k, :k], p)
-                if coeffs.any():
-                    v = _reduce(v - coeffs @ new[:k], p)
-            nz = np.flatnonzero(v)
-            if nz.size == 0:
+                # coeffs has k entries, few enough that np.remainder is the
+                # cheaper exact reduction; v has f and goes through _reduce.
+                coeffs = np.remainder(v[lp[:k]] @ inv_u[:k, :k], p)
+                v = _reduce(v - coeffs @ new[:k], p)
+            # The first nonzero entry, if any: argmax of a bool array is the
+            # index of its first True.
+            j = int(np.not_equal(v, 0).argmax())
+            if not v[j]:
                 continue
-            j = int(nz[0])
-            s = self.field.inv(int(v[j]))
+            s = pow(int(v[j]), -1, p)
             new[k] = v
             # The inverse of [[U, c], [0, u]] is [[U^-1, -s U^-1 c], [0, s]]
             # with s = 1/u. U^-1 c sums k products of residues, and its
-            # residue times p - s is below p^2 <= 2^40.
-            col = _reduce(inv_u[:k, :k] @ new[:k, j], p)
+            # residue times p - s is at most (p-1)^2, within the bound too.
+            col = np.remainder(inv_u[:k, :k] @ new[:k, j], p)
             col *= p - s
-            inv_u[:k, k] = _reduce(col, p)
+            np.remainder(col, p, out=inv_u[:k, k])
             inv_u[k, k] = s
             lp[k] = j
             accepted.append(i)

@@ -184,16 +184,43 @@ class TestBlockedEngine:
         rep = compute_length(gs)
         assert rep.is_generating and rep == sequential_length(gs)
 
-    @pytest.mark.parametrize("n", [24, 32])
-    def test_int64_accumulator_gives_the_same_trace(self, n, monkeypatch):
-        # The float64 engine runs its products through BLAS; numpy's int64
-        # products do not, so this is an independent summation path.
+    @pytest.mark.parametrize(
+        "p, n, forced",
+        [
+            (101, 24, np.float64),
+            (101, 24, np.int64),
+            (101, 32, np.float64),
+            (101, 32, np.int64),
+            # The last float32 order at p = 101, and one over F_3.
+            (101, 40, np.float64),
+            (3, 48, np.float64),
+        ],
+    )
+    def test_forced_accumulator_gives_the_same_trace(self, p, n, forced, monkeypatch):
+        # The float32 engine runs its products through single-precision
+        # BLAS, the float64 one through double precision; numpy's int64
+        # products bypass BLAS. Each is an independent summation path.
+        field = PrimeField(p)
         rng = np.random.default_rng(n)
-        gs = GeneratingSet.of([Matrix(F101, rng.integers(0, 101, size=(n, n))) for _ in range(2)])
-        assert SpanBasis(F101, n * n).dtype == np.float64
-        rep = compute_length(gs)
-        monkeypatch.setattr(linalg, "_accumulator_dtype", lambda ambient_dim, p: np.int64)
-        assert SpanBasis(F101, n * n).dtype == np.int64
+        gs = GeneratingSet.of([Matrix(field, rng.integers(0, p, size=(n, n))) for _ in range(2)])
+        assert SpanBasis(field, n * n).dtype == np.float32
+        # Every candidate block (built from the frontier) and R after every
+        # block stay float32: a silent upcast would still give the trace.
+        dtypes = set()
+        insert_block = SpanBasis._insert_block
+
+        def recording(basis, block):
+            dtypes.add(block.dtype)
+            accepted = insert_block(basis, block)
+            dtypes.add(basis._r.dtype)
+            return accepted
+
+        with monkeypatch.context() as m:
+            m.setattr(SpanBasis, "_insert_block", recording)
+            rep = compute_length(gs)
+        assert dtypes == {np.dtype(np.float32)}
+        monkeypatch.setattr(linalg, "_accumulator_dtype", lambda ambient_dim, p: forced)
+        assert SpanBasis(field, n * n).dtype == forced
         assert compute_length(gs) == rep
 
     def test_level_cap_matches_sequential(self):

@@ -508,8 +508,14 @@ class TestSpanBasis:
         assert type(basis.ambient_dim) is int and basis.ambient_dim == 4
 
     def test_accumulator_dtype_bounds(self):
-        # float64 while ambient_dim * (p-1)^2 + p <= 2^53 (the bound of
-        # _reduce), then int64 while ambient_dim * (p-1)^2 < 2^63.
+        # float32 while ambient_dim * (p-1)^2 + p <= 2^24, float64 while it is
+        # at most 2^53 (the bounds of _reduce), then int64 while
+        # ambient_dim * (p-1)^2 < 2^63.
+        assert SpanBasis(F101, 40 * 40).dtype == np.float32
+        assert SpanBasis(F101, 1677).dtype == np.float32
+        assert SpanBasis(F101, 1678).dtype == np.float64
+        assert SpanBasis(PrimeField(2), 2**24 - 2).dtype == np.float32
+        assert SpanBasis(PrimeField(2), 2**24 - 1).dtype == np.float64
         big = PrimeField(1048573)
         assert SpanBasis(big, 90 * 90).dtype == np.float64
         assert SpanBasis(big, 8192).dtype == np.float64
@@ -598,8 +604,15 @@ class TestSpanBasis:
     # Residue rows longer than REDUCE_SMALL, shrinking past it as the span grows.
     @example(p=2, ambient=300, seed=4, ops=[12] * 12)
     @example(p=1048573, ambient=300, seed=5, ops=[1, 12, 0, 12, 12, 1] * 2)
+    # The last float32 ambient dimension at p = 1021, where sums come within
+    # p of 2^24, and the first float64 one.
+    @example(p=1021, ambient=16, seed=6, ops=[12, 1, 12, 12])
+    @example(p=1021, ambient=17, seed=7, ops=[12, 1, 12, 12])
     @given(
-        p=st.sampled_from([2, 101, 1048573]),
+        # 2 and 101 are float32 at every drawn ambient dimension, 1048573 is
+        # float64 at all of them, and 1021 switches from one to the other
+        # above ambient dimension 16.
+        p=st.sampled_from([2, 101, 1021, 1048573]),
         ambient=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(st.integers(0, 12), min_size=1, max_size=12),
@@ -610,6 +623,7 @@ class TestSpanBasis:
         rng = np.random.default_rng(seed)
         subspace = rng.integers(0, p, size=(max(1, ambient // 3), ambient))
         basis, reference = SpanBasis(field, ambient), FullRowBasis(field, ambient)
+        assert basis.dtype == (np.float32 if ambient * (p - 1) ** 2 + p <= 2**24 else np.float64)
         for size in ops:
             # Half the rows from a fixed subspace, so that many are rejected.
             block = np.where(
@@ -626,6 +640,8 @@ class TestSpanBasis:
             assert basis.pivot_cols == reference.pivot_cols
             assert np.array_equal(basis.rows, reference.rows)
             assert basis._r.size == d * (ambient - d)
+            # No silent upcast: R stays in the dtype the bound chose.
+            assert basis._r.dtype == basis.dtype
             for v in np.vstack([block, rng.integers(0, p, size=(2, ambient))]):
                 assert np.array_equal(basis.reduce(v), reference.reduce(v))
                 assert basis.contains(v) == reference.contains(v)
@@ -636,9 +652,10 @@ class TestSpanBasis:
         basis.insert_rows(np.eye(4, dtype=np.int64)[:3])
         block = np.random.default_rng(3).integers(0, 101, size=(100, 4))
         block[0] = [5, 0, 2, 1]
+        # The first-nonzero search runs once per examined row.
         rows_examined = []
-        flatnonzero = np.flatnonzero
-        monkeypatch.setattr(np, "flatnonzero", lambda a: rows_examined.append(1) or flatnonzero(a))
+        not_equal = np.not_equal
+        monkeypatch.setattr(np, "not_equal", lambda *a, **kw: rows_examined.append(1) or not_equal(*a, **kw))
         assert basis.insert_rows(block) == [0]
         assert basis.dim() == 4 and len(rows_examined) == 1
 
@@ -707,40 +724,44 @@ class TestSpanBasisInput:
 
 
 REDUCE_PRIMES = [2, 3, 101, 65521, 1048573]
+# Each dtype _reduce takes, with the t of its precondition |x| <= 2^t - p:
+# the significand width of the floats; int64 is held to float64's range.
+DTYPE_BITS = [(np.float32, 24), (np.float64, 53), (np.int64, 53)]
 
 
 class TestReduce:
     @settings(max_examples=200, deadline=None)
     @given(p=st.sampled_from(REDUCE_PRIMES), data=st.data())
     def test_matches_python_remainder(self, p, data):
-        bound = 2**53 - p
-        drawn = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
-        # Repeated to lengths on both sides of REDUCE_SMALL, where float64
-        # arrays switch from np.remainder to divide-and-floor.
-        size = data.draw(st.integers(1, 2 * REDUCE_SMALL))
-        xs = [drawn[i % len(drawn)] for i in range(size)]
-        expected = [x % p for x in xs]
-        for dtype in (np.float64, np.int64):
+        for dtype, bits in DTYPE_BITS:
+            bound = 2**bits - p
+            drawn = data.draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=40))
+            # Repeated to lengths on both sides of REDUCE_SMALL, where float
+            # arrays switch from np.remainder to divide-and-floor.
+            size = data.draw(st.integers(1, 2 * REDUCE_SMALL))
+            xs = [drawn[i % len(drawn)] for i in range(size)]
             x = np.array(xs, dtype=dtype)
             assert _reduce(x, p) is x
-            assert x.tolist() == expected
+            assert x.dtype == dtype
+            assert x.tolist() == [v % p for v in xs]
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, 24), (np.float64, 53)])
     @pytest.mark.parametrize("p", REDUCE_PRIMES)
-    def test_edge_window(self, p):
-        """m * p + r for r in {0, 1, p - 1}, with m at the largest magnitudes |x| <= 2^53 - p allows."""
-        bound = 2**53 - p
+    def test_edge_window(self, p, dtype, bits):
+        """m * p + r for r in {0, 1, p - 1}, with m at the largest magnitudes |x| <= 2^bits - p allows."""
+        bound = 2**bits - p
         top, bottom = (bound - (p - 1)) // p, -(bound // p)
         xs = [m * p + r for m in (top, top - 1, bottom, bottom + 1) for r in (0, 1, p - 1)]
         xs += [bound, -bound]
         assert all(abs(x) <= bound for x in xs)
-        assert _reduce(np.array(xs, dtype=np.float64), p).tolist() == [x % p for x in xs]
+        assert _reduce(np.array(xs, dtype=dtype), p).tolist() == [x % p for x in xs]
         # The last np.remainder size and the first divide-and-floor size.
         for size in (REDUCE_SMALL - 1, REDUCE_SMALL):
-            edge = np.resize(np.array(xs, dtype=np.float64), size)
+            edge = np.resize(np.array(xs, dtype=dtype), size)
             assert _reduce(edge.copy(), p).tolist() == [int(x) % p for x in edge]
         # Arrays of several REDUCE_CHUNK slices, along a first axis that does
         # not divide evenly into them, in the shapes the span engine reduces.
-        grid = np.resize(np.array(xs, dtype=np.float64), (300, 257))
+        grid = np.resize(np.array(xs, dtype=dtype), (300, 257))
         expected = np.resize(np.array([x % p for x in xs], dtype=np.float64), grid.shape)
         for shape in (grid.shape, (grid.size,), (300, 1, 257)):
             assert np.array_equal(_reduce(grid.reshape(shape).copy(), p).reshape(grid.shape), expected)
