@@ -12,13 +12,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+from . import spectral
 from .errors import CertificateMismatch, InvalidK, NotSplit
 from .length import GeneratingSet
 from .linalg import Matrix, mat_mul, rank
 from .spectral import (
     JordanProfile,
     Spectrum,
-    jordan_profile,
     minimal_polynomial,
     split_roots,
     unique_max_block,
@@ -216,17 +216,32 @@ class GeneratorAnalysis:
 
 
 def analyze_generators(s: GeneratingSet) -> list[GeneratorAnalysis]:
+    """Spectral data of each generator, in three stages over the whole set.
+
+    Minimal polynomials and their splits come first, one generator at a
+    time; then the Jordan profiles of every generator that splits, in one
+    `spectral.jordan_profiles` call (one `_stack_ranks` pass for the set);
+    then each of those generators' certificates.
+    """
+    degrees: list[int] = []
+    spectra: list[Spectrum | None] = []
+    errors: list[str | None] = []
+    for g in s.gens:
+        mp = minimal_polynomial(g)
+        degrees.append(mp.degree)
+        try:
+            spectra.append(split_roots(mp))
+            errors.append(None)
+        except NotSplit as exc:
+            spectra.append(None)
+            errors.append(str(exc))
+    split = [i for i, spec in enumerate(spectra) if spec is not None]
+    profiles = dict(zip(split, spectral.jordan_profiles([(s.gens[i], spectra[i]) for i in split])))
     out = []
     for i, g in enumerate(s.gens):
-        mp = minimal_polynomial(g)
-        try:
-            spec = split_roots(mp)
-            profile = jordan_profile(g, spec)
-        except NotSplit as exc:
-            out.append(GeneratorAnalysis(i, mp.degree, None, None, str(exc)))
-            continue
-        certs = find_rank_reduction(g, profile, 2)
-        out.append(GeneratorAnalysis(i, mp.degree, spec, profile, None, certs))
+        profile = profiles.get(i)
+        certs = find_rank_reduction(g, profile, 2) if profile is not None else {}
+        out.append(GeneratorAnalysis(i, degrees[i], spectra[i], profile, errors[i], certs))
     return out
 
 

@@ -17,10 +17,11 @@ from .errors import (
     EmptySet,
     FamilyHypothesisViolated,
     GenerationRetriesExhausted,
+    Singular,
     SizeMismatch,
 )
 from .length import GeneratingSet, LengthReport, compute_length
-from .linalg import Matrix, PrimeField, conjugate, rank
+from .linalg import Matrix, PrimeField, mat_inverse, mat_mul
 from .spectral import JordanProfile
 
 FAMILIES = ("RANDOM", "T10", "T11", "T12", "THM39")
@@ -96,13 +97,29 @@ def random_matrix(n: int, f: PrimeField, seed) -> Matrix:
     return Matrix(f, rng.integers(0, f.p, size=(n, n), dtype=np.int64))
 
 
-def random_invertible(n: int, f: PrimeField, seed) -> Matrix:
-    """Uniform-entry matrix resampled until full rank."""
-    rng = _rng(seed)
+def _invertible_pair(n: int, f: PrimeField, rng: np.random.Generator) -> tuple[Matrix, Matrix]:
+    """(P, P^-1) for a uniform-entry matrix P resampled until it is invertible.
+
+    One elimination per draw both accepts P and inverts it: mat_inverse
+    raises Singular exactly when P has rank < n.
+    """
     while True:
         m = Matrix(f, rng.integers(0, f.p, size=(n, n), dtype=np.int64))
-        if rank(m) == n:
-            return m
+        try:
+            return m, mat_inverse(m)
+        except Singular:
+            pass
+
+
+def random_invertible(n: int, f: PrimeField, seed) -> Matrix:
+    """Uniform-entry matrix resampled until full rank."""
+    return _invertible_pair(n, f, _rng(seed))[0]
+
+
+def _conjugated(a: Matrix, rng: np.random.Generator) -> Matrix:
+    """P A P^-1 for the next random invertible P that rng draws."""
+    p, p_inv = _invertible_pair(a.n, a.field, rng)
+    return mat_mul(mat_mul(p, a), p_inv)
 
 
 def random_jordan_spec(
@@ -147,8 +164,7 @@ def _companion(n: int, f: PrimeField, max_degree: int, rng: np.random.Generator)
     low = min(2, max_degree)
     degree = int(rng.integers(low, max_degree + 1))
     spec = random_jordan_spec(n, f, rng, degree=degree)
-    p = random_invertible(n, f, rng)
-    return conjugate(p, jordan_matrix(f, spec))
+    return _conjugated(jordan_matrix(f, spec), rng)
 
 
 def admits_degree(family: str, n: int, m: int) -> bool:
@@ -213,8 +229,7 @@ def build_instance_with_meta(spec: InstanceSpec) -> BuildResult:
     if spec.jordan is None:
         fixed, draws, max_degree = [], spec.extra_gens + 1, n
     else:
-        conj = random_invertible(n, f, rng)
-        fixed = [conjugate(conj, jordan_matrix(f, spec.jordan))]
+        fixed = [_conjugated(jordan_matrix(f, spec.jordan), rng)]
         draws, max_degree = spec.extra_gens, spec.jordan.minpoly_degree()
     if len(fixed) + draws < 1:
         raise EmptySet("need at least one generator")

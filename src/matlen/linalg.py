@@ -380,26 +380,36 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _rref_array(arr: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
-    """Gauss-Jordan on an arbitrary rows x cols int64 array; returns (RREF, pivot cols)."""
+    """Gauss-Jordan on an arbitrary rows x cols int64 array; returns (RREF, pivot cols).
+
+    arr is only read: the elimination runs in place on a C-ordered copy
+    reduced mod p.
+    """
     p = field.p
-    a = arr % p
+    a = np.remainder(arr, p, order="C")
     m, ncols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == m:
             break
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        below = a[r:, c]
+        # argmax of a bool array is the index of its first True.
+        i = int(np.not_equal(below, 0).argmax())
+        if not below[i]:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * field.inv(int(a[r, c]))) % p
+        if i:
+            a[[r, r + i]] = a[[r + i, r]]
+        row = a[r]
+        row *= pow(int(row[c]), -1, p)
+        row %= p
         col = a[:, c].copy()
         col[r] = 0
-        if col.any():
-            a = (a - np.outer(col, a[r])) % p
+        # Rank-1 update in place: every entry of a, col and row is a residue,
+        # so each product is below (p-1)^2 < 2^40 and a - col * row lies in
+        # (-2^40, 2^20), exact in int64.
+        a -= col[:, np.newaxis] * row
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -407,14 +417,13 @@ def _rref_array(arr: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[in
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    reduced, pivots = _rref_array(a.entries.copy(), a.field)
+    reduced, pivots = _rref_array(a.entries, a.field)
     return Matrix(a.field, reduced), pivots
 
 
 def rank(a: Matrix) -> int:
     """Row rank over F_p."""
-    _, pivots = _rref_array(a.entries.copy(), a.field)
-    return len(pivots)
+    return len(_rref_array(a.entries, a.field)[1])
 
 
 def _stack_ranks(stack: np.ndarray, p: int) -> np.ndarray:

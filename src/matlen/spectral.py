@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharPolyNotSplit, NotSplit
-from .linalg import Matrix, Polynomial, _companion_powers, _rref_array, _stack_ranks
+from .linalg import Matrix, Polynomial, _check_pair, _companion_powers, _rref_array, _stack_ranks
 
 
 @dataclass(frozen=True)
@@ -170,43 +170,62 @@ def split_roots(poly: Polynomial) -> Spectrum:
     return Spectrum(roots=tuple(roots))
 
 
-def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
-    """Block-size multisets from the rank sequence of (A - lambda I)^j.
+def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]:
+    """Block-size multisets of several matrices of one order and field, one per (A, spectrum).
 
     For each eigenvalue, the count of blocks of size >= j is
     rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j). Every power for
-    j = 1..e_lambda is formed first (int64 products of residues, each
-    summing n terms below 2^40), and `_stack_ranks` ranks them all at once.
+    j = 1..e_lambda, of every eigenvalue of every matrix, is formed first
+    (int64 products of residues, each summing n terms below 2^40), and
+    `_stack_ranks` ranks them all at once; an empty list makes no call.
+    Raises DimensionMismatch or FieldMismatch for matrices of different
+    orders or fields, and CharPolyNotSplit for the first matrix whose
+    blocks do not cover its order, which a spectrum from `split_roots` of
+    its own minimal polynomial never leaves.
     """
-    n, p = a.n, a.field.p
+    if not pairs:
+        return []
+    first = pairs[0][0]
+    for a, _ in pairs[1:]:
+        _check_pair(first, a)
+    n, p = first.n, first.field.p
     eye = np.eye(n, dtype=np.int64)
     powers: list[np.ndarray] = []
-    for lam, e_lam in spec.roots:
-        shifted = (a.entries - lam * eye) % p
-        power = eye
-        for _ in range(e_lam):
-            power = (power @ shifted) % p
-            powers.append(power)
+    for a, spec in pairs:
+        for lam, e_lam in spec.roots:
+            shifted = (a.entries - lam * eye) % p
+            power = eye
+            for _ in range(e_lam):
+                power = (power @ shifted) % p
+                powers.append(power)
     all_ranks = _stack_ranks(np.array(powers, dtype=np.int64).reshape(-1, n, n), p).tolist()
-    blocks: dict[int, tuple[int, ...]] = {}
-    total = 0
+    profiles: list[JordanProfile] = []
     start = 0
-    for lam, e_lam in spec.roots:
-        ranks = [n] + all_ranks[start : start + e_lam]
-        start += e_lam
-        at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
-        sizes: list[int] = []
-        for j in range(1, e_lam + 1):
-            exactly = at_least[j - 1] - (at_least[j] if j < e_lam else 0)
-            sizes.extend([j] * exactly)
-        sizes.sort(reverse=True)
-        blocks[lam] = tuple(sizes)
-        total += sum(sizes)
-    if total != n:
-        raise CharPolyNotSplit(
-            f"Jordan blocks cover {total} of {n} dimensions; characteristic polynomial does not split"
-        )
-    return JordanProfile(blocks=blocks)
+    for _, spec in pairs:
+        blocks: dict[int, tuple[int, ...]] = {}
+        total = 0
+        for lam, e_lam in spec.roots:
+            ranks = [n] + all_ranks[start : start + e_lam]
+            start += e_lam
+            at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
+            sizes: list[int] = []
+            for j in range(1, e_lam + 1):
+                exactly = at_least[j - 1] - (at_least[j] if j < e_lam else 0)
+                sizes.extend([j] * exactly)
+            sizes.sort(reverse=True)
+            blocks[lam] = tuple(sizes)
+            total += sum(sizes)
+        if total != n:
+            raise CharPolyNotSplit(
+                f"Jordan blocks cover {total} of {n} dimensions; characteristic polynomial does not split"
+            )
+        profiles.append(JordanProfile(blocks=blocks))
+    return profiles
+
+
+def jordan_profile(a: Matrix, spec: Spectrum) -> JordanProfile:
+    """Block-size multisets of one matrix: `jordan_profiles` on a single pair."""
+    return jordan_profiles([(a, spec)])[0]
 
 
 def unique_max_block(profile: JordanProfile) -> tuple[int, int] | None:

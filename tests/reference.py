@@ -10,6 +10,8 @@ matrix powers of `linalg._companion_powers`.
 `canonical_json` is `json.dumps` with the report layout, the reference for
 `reports.canonical_json`.
 `krylov_test_matrix` draws the matrices the minimal polynomial is checked on.
+`rank_accepted_invertible` is the rank-based acceptance rule that
+`instances.random_invertible` must reproduce draw for draw.
 """
 
 from __future__ import annotations
@@ -73,6 +75,18 @@ class FullRowBasis:
         self._rows = np.vstack([self._rows, v])
         self._pivots.append(j)
         return True
+
+
+def rank_accepted_invertible(n: int, field: PrimeField, rng: np.random.Generator) -> Matrix:
+    """Uniform-entry n x n matrix, redrawn until its rows, inserted into a
+    `FullRowBasis` one at a time, have rank n."""
+    while True:
+        entries = rng.integers(0, field.p, size=(n, n), dtype=np.int64)
+        basis = FullRowBasis(field, n)
+        for row in entries:
+            basis.insert(row)
+        if basis.dim() == n:
+            return Matrix(field, entries)
 
 
 def krylov_minimal_polynomial(a: Matrix) -> tuple[int, ...]:

@@ -1,6 +1,7 @@
 """Rank-reduction certificate search and the bound ledger."""
 
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from matlen.certificates import (
     thm38_hypothesis,
 )
 from matlen.cli import derive_instance_spec
-from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, InvalidK
+from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, InvalidK, NotSplit
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
@@ -27,7 +28,8 @@ from matlen.instances import (
     random_invertible,
 )
 from matlen.length import GeneratingSet, compute_length
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, mat_mul, poly_eval, rank
+from matlen.linalg import Matrix, Polynomial, PrimeField, _stack_ranks, conjugate, mat_mul, poly_eval, rank
+from matlen.reports import load_instance
 from matlen.spectral import (
     JordanProfile,
     jordan_profile,
@@ -234,7 +236,7 @@ class TestFindRankReduction:
     def test_witnesses_built_from_their_own_factors(self, monkeypatch):
         # Each distinct kept witness costs at most deg(v) products, with no
         # chain of powers built first, in this module or in spectral (whose
-        # only chain, jordan_profile's, ends in _stack_ranks).
+        # only chain, jordan_profiles', ends in _stack_ranks).
         import matlen.certificates
         import matlen.spectral
 
@@ -439,3 +441,86 @@ def test_stored_certificates_match_independent_searches():
                 if oracles[2] is not None:
                     first_hit_rank[oracles[2][2]] += 1
     assert first_hit_rank[1] > 0 and first_hit_rank[2] > 0, first_hit_rank
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def analysis_one_at_a_time(g):
+    """(degree, spectrum, profile, split_error) of one generator on its own."""
+    mp = minimal_polynomial(g)
+    try:
+        spec = split_roots(mp)
+    except NotSplit as exc:
+        return mp.degree, None, None, str(exc)
+    return mp.degree, spec, jordan_profile(g, spec), None
+
+
+class TestBatchedJordanRanks:
+    """analyze_generators ranks every split generator's powers in one pass."""
+
+    def mixed_sets(self):
+        yield load_instance(str(FIXTURES / "nonsplit_f7.json"))
+        for family, n in (("T10", 4), ("T10", 6), ("T12", 6), ("THM39", 4), ("THM39", 8)):
+            for index in range(3):
+                yield build_instance_with_meta(derive_instance_spec(family, n, 101, 11, index)).generating_set
+        # Over F_7 many random companions do not split: sets that mix both.
+        for seed in range(4):
+            spec = InstanceSpec(n=3, p=7, jordan=JordanSpec(((2, 2), (5, 1))), extra_gens=2, seed=seed, family="T11")
+            yield build_instance_with_meta(spec).generating_set
+
+    def count_stack_ranks(self, monkeypatch):
+        import matlen.spectral
+
+        calls = []
+
+        def counting(stack, p):
+            calls.append(stack.shape)
+            return _stack_ranks(stack, p)
+
+        monkeypatch.setattr(matlen.spectral, "_stack_ranks", counting)
+        return calls
+
+    def test_each_generator_as_on_its_own(self, monkeypatch):
+        calls = self.count_stack_ranks(monkeypatch)
+        seen = {"split": 0, "nonsplit": 0}
+        for gs in self.mixed_sets():
+            calls.clear()
+            analyses = analyze_generators(gs)
+            split = [a for a in analyses if a.profile is not None]
+            batched = sum(e for a in split for _, e in a.spectrum.roots)
+            assert calls == ([(batched, gs.n, gs.n)] if split else [])
+            assert [a.index for a in analyses] == list(range(len(gs.gens)))
+            for a, g in zip(analyses, gs.gens):
+                degree, spec, profile, error = analysis_one_at_a_time(g)
+                assert (a.degree, a.spectrum, a.profile, a.split_error) == (degree, spec, profile, error)
+                if profile is None:
+                    assert a.certificates == {}
+                else:
+                    assert a.certificates == find_rank_reduction(g, profile, 2)
+                seen["split" if profile is not None else "nonsplit"] += 1
+        assert seen["split"] > 0 and seen["nonsplit"] > 0
+
+    def test_nonsplit_generators_leave_the_others_unchanged(self):
+        checked = 0
+        for gs in self.mixed_sets():
+            analyses = analyze_generators(gs)
+            split = [a for a in analyses if a.spectrum is not None]
+            if len(split) == len(analyses) or not split:
+                continue
+            alone = analyze_generators(GeneratingSet.of([gs.gens[a.index] for a in split]))
+            for a, b in zip(split, alone):
+                assert (a.degree, a.spectrum, a.profile, a.certificates) == (
+                    b.degree, b.spectrum, b.profile, b.certificates
+                )
+            checked += 1
+        assert checked > 0
+
+    def test_no_split_generator_no_rank_pass(self, monkeypatch):
+        calls = self.count_stack_ranks(monkeypatch)
+        # Companions of x^2 + 1 and x^2 - 3, both irreducible over F_7.
+        gs = GeneratingSet.of([Matrix(F7, [[0, 6], [1, 0]]), Matrix(F7, [[0, 3], [1, 0]])])
+        analyses = analyze_generators(gs)
+        assert calls == []
+        assert all(a.spectrum is None and a.profile is None and a.split_error for a in analyses)
+        assert all(a.certificates == {} for a in analyses)

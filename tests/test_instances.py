@@ -9,6 +9,8 @@ from matlen.errors import FamilyHypothesisViolated, GenerationRetriesExhausted
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
+    _conjugated,
+    _invertible_pair,
     build_instance_with_meta,
     check_family_hypothesis,
     jordan_matrix,
@@ -17,8 +19,9 @@ from matlen.instances import (
     random_jordan_spec,
 )
 from matlen.length import compute_length, is_generating
-from matlen.linalg import Matrix, PrimeField, rank
+from matlen.linalg import Matrix, PrimeField, conjugate, mat_mul, rank
 from matlen.spectral import jordan_profile, minimal_polynomial, split_roots
+from reference import rank_accepted_invertible
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -54,6 +57,35 @@ class TestRandomInvertible:
 
     def test_golden_value(self):
         assert random_invertible(3, F101, 42).entries.tolist() == GOLDEN_INVERTIBLE_3_101_SEED42
+
+    # F_2 at n = 2: 10 of the 16 matrices are singular, so most seeds redraw.
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (101, 1), (101, 4), (1048573, 5)])
+    def test_same_draws_as_the_rank_rule(self, p, n):
+        field = PrimeField(p)
+        redrawn = 0
+        for seed in range(40):
+            want = rank_accepted_invertible(n, field, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            got, inv = _invertible_pair(n, field, rng)
+            assert got == want == random_invertible(n, field, np.random.default_rng(seed))
+            assert mat_mul(got, inv) == Matrix.identity(field, n)
+            # The generator is left where the rank rule leaves it.
+            ref_rng = np.random.default_rng(seed)
+            rank_accepted_invertible(n, field, ref_rng)
+            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+            first = Matrix(field, np.random.default_rng(seed).integers(0, p, size=(n, n), dtype=np.int64))
+            redrawn += rank(first) < n
+        if p == 2 and n == 2:
+            assert redrawn > 10
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (7, 3), (101, 6)])
+    def test_conjugation_matches_conjugate(self, p, n):
+        field = PrimeField(p)
+        for seed in range(20):
+            a = Matrix(field, np.random.default_rng(1000 + seed).integers(0, p, size=(n, n)))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _conjugated(a, rng) == conjugate(random_invertible(n, field, ref_rng), a)
+            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 class TestRandomJordanSpec:

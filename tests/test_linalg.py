@@ -27,6 +27,7 @@ from matlen.linalg import (
     SpanBasis,
     _companion_powers,
     _reduce,
+    _rref_array,
     _stack_ranks,
     conjugate,
     mat_inverse,
@@ -320,6 +321,86 @@ class TestRankRref:
             once, piv = rref(m)
             twice, piv2 = rref(once)
             assert once == twice and piv == piv2
+
+
+RREF_ROW_KINDS = ("random", "zero", "duplicate", "combination", "top")
+
+
+def rref_test_rows(rng, p: int, ncols: int, kinds) -> np.ndarray:
+    """One row per kind: uniform, zero, a copy of an earlier row, a random
+    combination of earlier rows (rank-deficient), or entries in [p - 3, p)."""
+    rows: list[np.ndarray] = []
+    for kind in kinds:
+        if kind == "zero" or (kind in ("duplicate", "combination") and not rows):
+            row = np.zeros(ncols, dtype=np.int64)
+        elif kind == "duplicate":
+            row = rows[int(rng.integers(0, len(rows)))].copy()
+        elif kind == "combination":
+            coeffs = rng.integers(0, p, size=len(rows))
+            row = (coeffs @ np.stack(rows)) % p
+        elif kind == "top":
+            row = p - 1 - rng.integers(0, min(p, 3), size=ncols)
+        else:
+            row = rng.integers(0, p, size=ncols)
+        rows.append(row.astype(np.int64))
+    return np.stack(rows)
+
+
+class TestRrefArray:
+    """`_rref_array` against `FullRowBasis`, which inserts the rows one at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 101, 1048573]),
+        ncols=st.integers(1, 20),
+        kinds=st.lists(st.sampled_from(RREF_ROW_KINDS), min_size=1, max_size=12),
+        transposed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=1048573, ncols=20, kinds=["top"] * 12, transposed=False, seed=0)
+    @example(p=2, ncols=1, kinds=["zero"], transposed=True, seed=0)
+    def test_matches_one_row_at_a_time(self, p, ncols, kinds, transposed, seed):
+        field = PrimeField(p)
+        arr = rref_test_rows(np.random.default_rng(seed), p, ncols, kinds)
+        if transposed:
+            # The same rows in a column-major array, as minimal_polynomial passes.
+            arr = np.asfortranarray(arr)
+        before = arr.copy()
+        reduced, pivots = _rref_array(arr, field)
+        ref = FullRowBasis(field, ncols)
+        for row in arr:
+            ref.insert(row)
+        d = ref.dim()
+        assert pivots == list(ref.pivot_cols)
+        assert reduced.dtype == np.int64 and reduced.shape == arr.shape
+        assert np.array_equal(reduced[:d], ref.rows)
+        assert not reduced[d:].any()
+        assert np.array_equal(arr, before)
+
+    def test_unreduced_input(self):
+        # Entries outside [0, p), negative ones included, are reduced first.
+        arr = np.array([[9, -5, 14], [-2, 3, 7]], dtype=np.int64)
+        reduced, pivots = _rref_array(arr, F7)
+        expected, expected_pivots = _rref_array(arr % 7, F7)
+        assert pivots == expected_pivots and np.array_equal(reduced, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 10), top=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_inverse_roundtrip_at_the_largest_modulus(self, n, top, seed):
+        # p = 1048573 < 2^20 is the largest prime the field allows, where the
+        # in-place rank-1 products come closest to the 2^40 bound; the top
+        # rows keep every entry within 3 of p.
+        field = PrimeField(1048573)
+        rng = np.random.default_rng(seed)
+        kinds = ["top" if top else "random"] * n
+        m = Matrix(field, rref_test_rows(rng, field.p, n, kinds))
+        eye = Matrix.identity(field, n)
+        try:
+            inv = mat_inverse(m)
+        except Singular:
+            assert rank(m) < n
+            return
+        assert mat_mul(m, inv) == eye and mat_mul(inv, m) == eye
 
 
 STACK_KINDS = ("random", "zero", "identity", "nilpotent", "low-rank")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matlen import linalg, spectral
-from matlen.errors import CharPolyNotSplit, NotSplit
+from matlen.errors import CharPolyNotSplit, DimensionMismatch, FieldMismatch, NotSplit
 from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
 from matlen.length import GeneratingSet
 from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
@@ -17,6 +17,7 @@ from matlen.spectral import (
     SCAN_MAX_P,
     Spectrum,
     jordan_profile,
+    jordan_profiles,
     minimal_polynomial,
     scan_roots,
     split_roots,
@@ -305,6 +306,35 @@ class TestJordanProfile:
                 m.setattr(linalg, "rank", no_rank)
                 assert jordan_profile(a, roots).blocks == spec.block_multisets()
             assert calls == [(sum(e for _, e in roots.roots), n, n)]
+
+    def test_batch_equals_one_at_a_time(self, monkeypatch):
+        calls = []
+
+        def counting_stack_ranks(stack, p):
+            calls.append(stack.shape)
+            return linalg._stack_ranks(stack, p)
+
+        rng = np.random.default_rng(53)
+        for n in range(1, 8):
+            mats = []
+            for _ in range(int(rng.integers(1, 5))):
+                spec = random_jordan_spec(n, F101, rng)
+                mats.append(conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec)))
+            pairs = [(a, split_roots(minimal_polynomial(a))) for a in mats]
+            alone = [jordan_profile(a, roots) for a, roots in pairs]
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_stack_ranks", counting_stack_ranks)
+                assert jordan_profiles(pairs) == alone
+            assert calls == [(sum(e for _, roots in pairs for _, e in roots.roots), n, n)]
+        assert jordan_profiles([]) == []
+
+    def test_batch_of_mixed_orders_or_fields_is_rejected(self):
+        a = J(F101, (0, 2))
+        with pytest.raises(DimensionMismatch):
+            jordan_profiles([(a, Spectrum(((0, 2),))), (J(F101, (0, 3)), Spectrum(((0, 3),)))])
+        with pytest.raises(FieldMismatch):
+            jordan_profiles([(a, Spectrum(((0, 2),))), (J(F7, (0, 2)), Spectrum(((0, 2),)))])
 
     def test_spectrum_missing_an_eigenvalue_is_rejected(self):
         # diag(1, 2) with only the root 1: the blocks cover 1 of 2 dimensions.
