@@ -31,12 +31,10 @@ from .errors import (
 )
 from .instances import (
     FAMILIES,
-    InstanceSpec,
-    JordanSpec,
-    admits_degree,
+    admissible_degrees,
     build_instance_with_meta,
+    derive_instance_spec,
     random_generating_set,
-    random_jordan_spec,
 )
 from .length import GeneratingSet, brute_force_length, compute_length
 from .linalg import PrimeField
@@ -47,7 +45,6 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 DEFAULT_P = 101
-_FAMILY_CODE = {name: i for i, name in enumerate(FAMILIES)}
 
 
 def _campaign(args: argparse.Namespace) -> tuple[list[int], PrimeField]:
@@ -85,48 +82,6 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
             raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _admissible_params(family: str, n: int) -> list[int]:
-    """Minimal-polynomial degrees m >= 2 to cycle through, ascending; [0] for RANDOM.
-
-    m = 1 makes the distinguished generator scalar, which never helps generate.
-    """
-    if family == "RANDOM":
-        return [0]
-    degrees = [m for m in range(2, n + 1) if admits_degree(family, n, m)]
-    if not degrees:
-        raise FamilyHypothesisViolated(f"no admissible minimal-polynomial degree for {family} at n={n}")
-    return degrees
-
-
-def derive_instance_spec(
-    family: str, n: int, p: int, master_seed: int, index: int
-) -> InstanceSpec:
-    """Deterministic per-index instance recipe for a fuzz campaign."""
-    entropy = (master_seed, _FAMILY_CODE[family], n, index)
-    state = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-    choice_rng = np.random.Generator(np.random.PCG64(int(state[0])))
-    spec_seed = int(state[1])
-    field = PrimeField(p)
-    params = _admissible_params(family, n)
-    m = params[index % len(params)]
-    if family == "RANDOM":
-        jordan = None
-    elif family == "THM39":
-        lam = int(choice_rng.integers(0, p))
-        jordan = JordanSpec(blocks=((lam, m), (lam, m)))
-    else:
-        jordan = random_jordan_spec(n, field, choice_rng, degree=m)
-    # Low-degree families need a second companion: with m(S) = m, every word
-    # through a rank-r polynomial insertion collapses into outer products, so
-    # a pair spans at most ~m + r*m^2 dimensions; concentrated spectra in the
-    # m <= n/2 window (and any m = 2 prescription) make that < n^2.
-    low_degree = family in ("T12", "THM39") or (
-        jordan is not None and jordan.minpoly_degree() == 2 and n >= 3
-    )
-    extra = 2 if low_degree else 1
-    return InstanceSpec(n=n, p=p, jordan=jordan, extra_gens=extra, seed=spec_seed, family=family)
 
 
 def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
@@ -179,8 +134,9 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
             raise ParseError(f"unknown family {fam!r}; choose from {', '.join(FAMILIES)}")
     ns, _ = _campaign(args)
     for fam in families:
-        for n in ns:
-            _admissible_params(fam, n)
+        if fam != "RANDOM":
+            for n in ns:
+                admissible_degrees(fam, n)
     tasks = [(fam, n, args.p, args.seed, i) for fam in families for n in ns for i in range(args.count)]
     workers = _fuzz_workers(tasks)
     # Imported here: multiprocessing and its pool module add 18-29 ms to

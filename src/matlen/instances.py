@@ -183,6 +183,43 @@ def admits_degree(family: str, n: int, m: int) -> bool:
     raise FamilyHypothesisViolated(f"family {family!r} prescribes no minimal-polynomial degree")
 
 
+def admissible_degrees(family: str, n: int) -> list[int]:
+    """The minimal-polynomial degrees m >= 2 a preset admits at order n, ascending.
+
+    m = 1 makes the distinguished generator scalar, which never helps generate.
+    """
+    degrees = [m for m in range(2, n + 1) if admits_degree(family, n, m)]
+    if not degrees:
+        raise FamilyHypothesisViolated(f"no admissible minimal-polynomial degree for {family} at n={n}")
+    return degrees
+
+
+def derive_instance_spec(
+    family: str, n: int, p: int, master_seed: int, index: int
+) -> InstanceSpec:
+    """Deterministic per-index instance recipe; presets cycle through `admissible_degrees`."""
+    entropy = (master_seed, FAMILIES.index(family), n, index)
+    state = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    spec_seed = int(state[1])
+    if family == "RANDOM":
+        return InstanceSpec(n=n, p=p, jordan=None, extra_gens=1, seed=spec_seed, family=family)
+    choice_rng = np.random.Generator(np.random.PCG64(int(state[0])))
+    degrees = admissible_degrees(family, n)
+    m = degrees[index % len(degrees)]
+    if family == "THM39":
+        lam = int(choice_rng.integers(0, p))
+        jordan = JordanSpec(blocks=((lam, m), (lam, m)))
+    else:
+        jordan = random_jordan_spec(n, PrimeField(p), choice_rng, degree=m)
+    # Low-degree families need a second companion: with m(S) = m, every word
+    # through a rank-r polynomial insertion collapses into outer products, so
+    # a pair spans at most ~m + r*m^2 dimensions; concentrated spectra in the
+    # m <= n/2 window (and any m = 2 prescription) make that < n^2.
+    low_degree = family in ("T12", "THM39") or (m == 2 and n >= 3)
+    extra = 2 if low_degree else 1
+    return InstanceSpec(n=n, p=p, jordan=jordan, extra_gens=extra, seed=spec_seed, family=family)
+
+
 def check_family_hypothesis(family: str, n: int, jordan: JordanSpec | None) -> None:
     """Raise FamilyHypothesisViolated unless the tag's hypothesis holds."""
     if family not in FAMILIES:

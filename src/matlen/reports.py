@@ -123,7 +123,7 @@ def analysis_to_json(a: GeneratorAnalysis) -> dict:
 
 def collect_violations(ledger: BoundLedger, rep: LengthReport) -> list[dict]:
     """Applicable ledger entries the computed length exceeds."""
-    if not rep.is_generating or rep.length is None:
+    if rep.length is None:
         return []
     return [
         {"bound": e.name, "bound_value": e.bound_value, "length": rep.length}
@@ -156,7 +156,7 @@ def evaluate_instance(gs: GeneratingSet, rep: LengthReport) -> dict:
         "violations": collect_violations(ledger, rep),
         "flags": [],
     }
-    if rep.is_generating and rep.length is not None and rep.length > 2 * gs.n - 2:
+    if rep.length is not None and rep.length > 2 * gs.n - 2:
         record["flags"].append("length_exceeds_2n_minus_2")
     return record
 

@@ -13,11 +13,12 @@ from itertools import product
 import numpy as np
 
 from matlen.certificates import bound_ledger, find_rank_reduction
-from matlen.cli import derive_instance_spec, main
+from matlen.cli import main
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
     build_instance_with_meta,
+    derive_instance_spec,
     jordan_matrix,
     random_generating_set,
     random_invertible,

@@ -1,6 +1,7 @@
 """Rank-reduction certificate search and the bound ledger."""
 
-from itertools import product
+import dataclasses
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,12 @@ from matlen.certificates import (
     t12_hypothesis,
     thm38_hypothesis,
 )
-from matlen.cli import derive_instance_spec
 from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, InvalidK, NotSplit
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
     build_instance_with_meta,
+    derive_instance_spec,
     jordan_matrix,
     random_invertible,
 )
@@ -36,6 +37,7 @@ from matlen.spectral import (
     minimal_polynomial,
     split_roots,
 )
+from ledger_audit import all_matrices, audit
 from reference import shifted_chain
 
 F7 = PrimeField(7)
@@ -524,3 +526,26 @@ class TestBatchedJordanRanks:
         assert calls == []
         assert all(a.spectrum is None and a.profile is None and a.split_error for a in analyses)
         assert all(a.certificates == {} for a in analyses)
+
+
+class TestExhaustiveLedgerAudit:
+    """Every set of distinct 2 x 2 matrices: pairs over F_2 and F_3, triples over F_2."""
+
+    @pytest.mark.parametrize(
+        "p, size, sets, generating", [(2, 2, 120, 48), (3, 2, 3240, 1944), (2, 3, 560, 400)]
+    )
+    def test_engine_matches_oracle_and_no_row_is_exceeded(self, p, size, sets, generating):
+        result = audit(2, p, size)
+        assert (result.sets, result.generating) == (sets, generating)
+        assert result.mismatches == []
+        assert result.exceeded == []
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_reindexed_analyses_give_the_ledger_of_the_set(self, size):
+        mats = all_matrices(2, 2)
+        alone = [analyze_generators(GeneratingSet.of([m]))[0] for m in mats]
+        for combo in combinations(range(len(mats)), size):
+            gs = GeneratingSet.of([mats[i] for i in combo])
+            reused = [dataclasses.replace(alone[i], index=j) for j, i in enumerate(combo)]
+            assert reused == analyze_generators(gs)
+            assert bound_ledger(gs, reused) == bound_ledger(gs)

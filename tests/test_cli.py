@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-import matlen
+import matlen.cli
+import matlen.instances
 from matlen.certificates import BoundEntry, BoundLedger
-from matlen.cli import _admissible_params, main
+from matlen.cli import main
 from matlen.errors import (
     BudgetExceeded,
-    FamilyHypothesisViolated,
     GenerationRetriesExhausted,
     NotSplit,
     ParseError,
@@ -227,26 +227,8 @@ def test_command_output_is_pinned(case, capsys, monkeypatch, tmp_path):
     assert captured.err == expected_err.replace("{tmp}", str(tmp_path))
 
 
-def paper_degrees(family, n):
-    """Minimal-polynomial degrees each family admits at order n, from the paper's conditions."""
-    if family == "T10":
-        return list(range(n // 2 + 1, n + 1)) if n % 2 == 0 else []
-    if family == "T11":
-        return list(range((n + 1) // 2, n + 1)) if n % 2 == 1 and n >= 3 else []
-    if family == "T12":
-        return [t for t in range(2, n + 1) if 2 * t <= n <= 3 * t - 1]
-    return [n // 2] if n % 2 == 0 and n >= 4 else []  # THM39
-
-
-@pytest.mark.parametrize("family", ["T10", "T11", "T12", "THM39"])
-def test_admissible_params_follow_the_paper(family):
-    for n in range(1, 17):
-        expected = paper_degrees(family, n)
-        if expected:
-            assert _admissible_params(family, n) == expected, n
-        else:
-            with pytest.raises(FamilyHypothesisViolated):
-                _admissible_params(family, n)
+def test_the_benchmark_reaches_the_recipe_through_cli():
+    assert matlen.cli.derive_instance_spec is matlen.instances.derive_instance_spec
 
 
 class TestModuleEntryPoint:

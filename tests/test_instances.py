@@ -1,18 +1,24 @@
-"""Seeded instance construction: Jordan prescriptions and random sets."""
+"""Seeded instance construction: Jordan prescriptions, random sets and campaign recipes."""
+
+import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matlen.errors import FamilyHypothesisViolated, GenerationRetriesExhausted
+from matlen.errors import FamilyHypothesisViolated, GenerationRetriesExhausted, MatlenError
 from matlen.instances import (
+    FAMILIES,
     InstanceSpec,
     JordanSpec,
     _conjugated,
     _invertible_pair,
+    admissible_degrees,
     build_instance_with_meta,
     check_family_hypothesis,
+    derive_instance_spec,
     jordan_matrix,
     random_generating_set,
     random_invertible,
@@ -230,6 +236,47 @@ def test_check_family_hypothesis_matches_the_paper(family, jordan):
     else:
         with pytest.raises(FamilyHypothesisViolated):
             check_family_hypothesis(family, n, jordan)
+
+
+def paper_degrees(family, n):
+    """Minimal-polynomial degrees each family admits at order n, from the paper's conditions."""
+    if family == "T10":
+        return list(range(n // 2 + 1, n + 1)) if n % 2 == 0 else []
+    if family == "T11":
+        return list(range((n + 1) // 2, n + 1)) if n % 2 == 1 and n >= 3 else []
+    if family == "T12":
+        return [t for t in range(2, n + 1) if 2 * t <= n <= 3 * t - 1]
+    return [n // 2] if n % 2 == 0 and n >= 4 else []  # THM39
+
+
+@pytest.mark.parametrize("family", ["T10", "T11", "T12", "THM39"])
+def test_admissible_degrees_follow_the_paper(family):
+    for n in range(1, 17):
+        expected = paper_degrees(family, n)
+        if expected:
+            assert admissible_degrees(family, n) == expected, n
+        else:
+            with pytest.raises(FamilyHypothesisViolated):
+                admissible_degrees(family, n)
+
+
+# sha256 of one line per derive_instance_spec(family, n, p, seed, i) call over
+# the grid below: the spec's fields, or the error it raises.
+RECIPE_DIGEST = "028299ab92b282bfb8c963ae669d52faf5beaef2fbebcb06098b9deaac666021"
+
+
+def test_recipes_are_pinned():
+    digest = hashlib.sha256()
+    for family, n, p, seed, i in product(FAMILIES, range(1, 13), (2, 3, 101, 1048573), (0, 7), range(6)):
+        try:
+            spec = derive_instance_spec(family, n, p, seed, i)
+        except MatlenError as exc:
+            line = f"{type(exc).__name__}: {exc}"
+        else:
+            blocks = None if spec.jordan is None else spec.jordan.blocks
+            line = repr((spec.n, spec.p, blocks, spec.extra_gens, spec.seed, spec.family))
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == RECIPE_DIGEST
 
 
 class TestStressModulus:

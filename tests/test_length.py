@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from matlen import length, linalg
-from matlen.cli import derive_instance_spec
 from matlen.errors import BudgetExceeded, EmptySet
-from matlen.instances import build_instance_with_meta, random_generating_set, random_invertible
+from matlen.instances import (
+    build_instance_with_meta,
+    derive_instance_spec,
+    random_generating_set,
+    random_invertible,
+)
 from matlen.length import (
     GeneratingSet,
     LengthReport,
