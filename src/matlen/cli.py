@@ -73,15 +73,20 @@ def _record(index: int, gs: GeneratingSet, fields: dict) -> dict:
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
-    text = reports.canonical_json(report) if fmt == "json" else reports.report_to_csv(report)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    def send(write) -> None:
+        if fmt == "json":
+            reports.write_canonical_json(report, write)
+        else:
+            write(reports.report_to_csv(report))
+
+    if not out:
+        send(sys.stdout.write)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            send(fh.write)
+    except OSError as exc:
+        raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
@@ -169,7 +174,13 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
     return config, records
 
 
+def _check_max_level(args: argparse.Namespace) -> None:
+    if args.max_level is not None and args.max_level < 0:
+        raise ParseError(f"--max-level must be non-negative, got {args.max_level}")
+
+
 def cmd_length(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    _check_max_level(args)
     gs = reports.load_instance(args.input)
     rep = compute_length(gs, max_levels=args.max_level)
     fields = {"length_report": reports.length_report_to_json(rep), "violations": []}
@@ -196,6 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+    _check_max_level(args)
     if args.input is not None:
         sets = [reports.load_instance(args.input)]
         ns = [sets[0].n]

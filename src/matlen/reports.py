@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Callable
 
 from .certificates import (
     BoundLedger,
@@ -161,10 +161,19 @@ def evaluate_instance(gs: GeneratingSet, rep: LengthReport) -> dict:
     return record
 
 
-def canonical_json(body: dict) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, newline-terminated.
+# write_canonical_json hands its text to the sink once more than
+# WRITE_FRAGMENTS fragments are pending before a list element. Running the
+# seed-0 fuzz campaign and writing its 3.4 MB report peaked at 35.4, 35.5,
+# 36.1, 37.8 and 44.3 MB with 256, 1024, 4096, 16384 and 65536 (52.4-52.6 MB
+# as one write); the write took 0.056 s at 4096 and 0.057-0.100 s at the
+# others (fastest of 7, 2-core x86 VM).
+WRITE_FRAGMENTS = 4096
 
-    Byte for byte what json.dumps(body, sort_keys=True, indent=2,
+
+def write_canonical_json(body: dict, write: Callable[[str], object]) -> None:
+    """Deterministic serialization, in chunks: sorted keys, fixed separators, newline-terminated.
+
+    The chunks join to what json.dumps(body, sort_keys=True, indent=2,
     separators=(",", ": ")) + "\n" writes (kept as the reference in the
     tests), written for the types a report holds: dicts with str keys,
     lists, ints, strs, bools and None. Anything else, such as a float, a
@@ -175,7 +184,7 @@ def canonical_json(body: dict) -> str:
     out: list[str] = []
     put = out.append
 
-    def write(o: Any, nl: str) -> None:
+    def emit(o: Any, nl: str) -> None:
         # nl is the newline and indent that precede the closing bracket of o.
         t = type(o)
         if t is str:
@@ -192,8 +201,11 @@ def canonical_json(body: dict) -> str:
                 return
             pre = "[" + inner
             for x in o:
+                if len(out) > WRITE_FRAGMENTS:
+                    write("".join(out))
+                    out.clear()
                 put(pre)
-                write(x, inner)
+                emit(x, inner)
                 pre = "," + inner
             put(nl + "]")
         elif t is dict:
@@ -205,7 +217,7 @@ def canonical_json(body: dict) -> str:
             for k in sorted(o):
                 # The escaper raises TypeError on a key that is not a str.
                 put(pre + encode_basestring_ascii(k) + ": ")
-                write(o[k], inner)
+                emit(o[k], inner)
                 pre = "," + inner
             put(nl + "}")
         elif o is True:
@@ -217,9 +229,15 @@ def canonical_json(body: dict) -> str:
         else:
             raise TypeError(f"a report cannot hold {t.__name__} values")
 
-    write(body, "\n")
+    emit(body, "\n")
     put("\n")
-    return "".join(out)
+    write("".join(out))
+
+
+def canonical_json(body: dict) -> str:
+    chunks: list[str] = []
+    write_canonical_json(body, chunks.append)
+    return "".join(chunks)
 
 
 def make_report(command: str, config: dict, instances: list[dict]) -> dict:

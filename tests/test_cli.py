@@ -13,6 +13,7 @@ import pytest
 
 import matlen.cli
 import matlen.instances
+import matlen.reports
 from matlen.certificates import BoundEntry, BoundLedger
 from matlen.cli import main
 from matlen.errors import (
@@ -143,6 +144,36 @@ class TestExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_full_device_is_usage_error(self, capsys, fmt):
+        # The JSON report of this campaign (0.7 MB) reaches the file in several
+        # chunks and fails at the first one the buffer flushes; the 4 KB CSV
+        # fails when the file is closed.
+        args = ["fuzz", "--count", "25", "--family", "RANDOM,T10,T12,THM39", "--n", "4",
+                "--format", fmt, "--out", "/dev/full"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["length", "--input", str(FIXTURES / "t10_n4.json")],
+            ["oracle-check", "--input", str(FIXTURES / "nonsplit_f7.json")],
+            ["oracle-check", "--count", "2", "--n", "2"],
+        ],
+    )
+    def test_negative_max_level_is_rejected_before_any_work(self, capsys, monkeypatch, args):
+        def no_work(*args, **kwargs):
+            raise AssertionError("no set may be drawn or measured")
+
+        for name in ("compute_length", "random_generating_set", "brute_force_length"):
+            monkeypatch.setattr(matlen.cli, name, no_work)
+        assert main([*args, "--max-level", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --max-level must be non-negative, got -1\n"
+
 
 # Every command's stdout bytes, exit code and stderr, as the parent of the
 # one-pipeline `main` wrote them. Inputs are named relative to the fixtures
@@ -163,6 +194,8 @@ PINNED_ARGV.update(
         "fuzz-composite-p": ["fuzz", "--count", "2", "--n", "4", "--p", "100"],
         "length-unwritable-out": ["length", "--input", "nonsplit_f7.json", "--out", "{tmp}/absent/x.json"],
         "analyze-unwritable-out": ["analyze", "--input", "nonsplit_f7.json", "--out", "{tmp}/absent/x.json"],
+        "length-negative-max-level": ["length", "--input", "t10_n4.json", "--max-level", "-1"],
+        "oracle-check-negative-max-level": ["oracle-check", "--count", "2", "--n", "2", "--max-level", "-1"],
     }
 )
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -214,12 +247,22 @@ PINS = {
     "fuzz-composite-p": (EMPTY, 2, "error: modulus 100 is not a prime number\n"),
     "length-unwritable-out": (EMPTY, 2, "error: cannot write {tmp}/absent/x.json: No such file or directory\n"),
     "analyze-unwritable-out": (EMPTY, 2, "error: cannot write {tmp}/absent/x.json: No such file or directory\n"),
+    "length-negative-max-level": (EMPTY, 2, "error: --max-level must be non-negative, got -1\n"),
+    "oracle-check-negative-max-level": (EMPTY, 2, "error: --max-level must be non-negative, got -1\n"),
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED_ARGV))
-def test_command_output_is_pinned(case, capsys, monkeypatch, tmp_path):
+# Each case as main writes it, and again with the JSON report handed to stdout
+# in chunks at nearly every list element.
+@pytest.mark.parametrize(
+    "case, fragments",
+    [pytest.param(case, None, id=case) for case in PINNED_ARGV]
+    + [pytest.param(case, 1, id=f"{case}-chunked") for case in PINNED_ARGV],
+)
+def test_command_output_is_pinned(case, fragments, capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(FIXTURES)
+    if fragments is not None:
+        monkeypatch.setattr(matlen.reports, "WRITE_FRAGMENTS", fragments)
     code = main([arg.replace("{tmp}", str(tmp_path)) for arg in PINNED_ARGV[case]])
     captured = capsys.readouterr()
     digest, expected_code, expected_err = PINS[case]

@@ -1,11 +1,18 @@
 """The canonical report writer against json.dumps."""
 
+import bisect
+import itertools
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from matlen.reports import canonical_json
+import matlen.reports
+from matlen.cli import main
+from matlen.reports import canonical_json, write_canonical_json
 from reference import canonical_json as reference_json
 
 # Quotes, backslashes, control characters, DEL and non-ASCII text (BMP and
@@ -33,7 +40,11 @@ class TestCanonicalJson:
     @example(body={"m": [[[0, -1], [2**64, 3]], [[]], []], "flags": [1, True, 0, None]})
     @example(body={'k"\\\x00é😀': 'v"\\\x1f ', "\n": "\t"})
     def test_matches_json_dumps(self, body):
-        assert canonical_json(body) == reference_json(body)
+        expected = reference_json(body)
+        assert canonical_json(body) == expected
+        # Chunked at nearly every list element, the text joins to the same bytes.
+        with mock.patch.object(matlen.reports, "WRITE_FRAGMENTS", 1):
+            assert canonical_json(body) == expected
 
     @pytest.mark.parametrize(
         "value",
@@ -54,3 +65,43 @@ class TestCanonicalJson:
     def test_unsupported_types_raise(self, value):
         with pytest.raises(TypeError):
             canonical_json({"value": value})
+
+
+def test_large_report_reaches_the_sink_in_bounded_chunks(tmp_path):
+    out = tmp_path / "report.json"
+    args = ["fuzz", "--count", "25", "--family", "RANDOM,T10,T12,THM39", "--n", "4", "--out", str(out)]
+    assert main(args) == 0
+    text = out.read_text()
+    body = json.loads(text)
+    assert len(body["instances"]) == 100
+
+    def chunks(fragments):
+        sink = []
+        with mock.patch.object(matlen.reports, "WRITE_FRAGMENTS", fragments):
+            write_canonical_json(body, sink.append)
+        assert "".join(sink) == text
+        return sink
+
+    def list_elements(o):
+        # Elements of the lists a chunk may end before: all but lists of ints.
+        if type(o) is dict:
+            return sum(map(list_elements, o.values()))
+        if type(o) is list and {type(x) for x in o} != {int}:
+            return len(o) + sum(map(list_elements, o))
+        return 0
+
+    # At 0 the writer hands its text over before every list element, in
+    # pieces. A chunk at any threshold t is a run of these pieces, and of at
+    # most t + 1 of them, since each piece holds at least one fragment.
+    pieces = chunks(0)
+    assert len(pieces) == 1 + list_elements(body)
+    piece_ends = list(itertools.accumulate(map(len, pieces)))
+    for fragments in (matlen.reports.WRITE_FRAGMENTS, 16):
+        sent = chunks(fragments)
+        assert len(sent) > 1
+        start = 0
+        for end in itertools.accumulate(map(len, sent)):
+            first, last = bisect.bisect_right(piece_ends, start), bisect.bisect_left(piece_ends, end)
+            assert piece_ends[last] == end
+            assert last - first + 1 <= fragments + 1
+            start = end
