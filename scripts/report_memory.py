@@ -6,12 +6,12 @@ Runs `fuzz --family RANDOM,T10,T12,THM39 --n 4,6,8 --p 101` at the given
 `--count` and `--seed` (at `--count 30` this is the fuzz-campaign benchmark's
 campaign) once, writing the JSON report into a temporary directory. Prints
 one JSON line: the count, the instances, the report size in MB (10^6 bytes),
-the peak RSS (ru_maxrss) in MB once the records are built (when
-`reports.make_report` returns, just before the report is written) and at the
-end, and the seconds `cli.main` took. ru_maxrss is the peak of this process
-so far, so run one campaign per process; forked workers are not counted, as
-in the benchmark. Comparing two checkouts: alternate processes with
-PYTHONPATH pointing at each one's `src/`.
+the peak RSS (ru_maxrss) in MB at the end, and the seconds `cli.main` took.
+Each record is written as it arrives and then dropped, so there is no moment
+at which all of them are held. ru_maxrss is the peak of this process so far,
+so run one campaign per process; forked workers are not counted, as in the
+benchmark. Comparing two checkouts: alternate processes with PYTHONPATH
+pointing at each one's `src/`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import resource
 import tempfile
 import time
 
-import matlen.reports
 from matlen.cli import main as matlen_main
 
 FAMILIES = "RANDOM,T10,T12,THM39"
@@ -39,15 +38,6 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=30, help="instances per (family, n) pair")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    records_rss = []
-    make_report = matlen.reports.make_report
-
-    def measured_make_report(*a, **kw):
-        report = make_report(*a, **kw)
-        records_rss.append(peak_rss_mb())
-        return report
-
-    matlen.reports.make_report = measured_make_report
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         argv = ["fuzz", "--family", FAMILIES, "--n", ORDERS, "--p", "101",
@@ -62,7 +52,6 @@ def main() -> None:
         "count": args.count,
         "instances": args.count * len(FAMILIES.split(",")) * len(ORDERS.split(",")),
         "report_mb": round(size / 1e6, 1),
-        "records_rss_mb": records_rss[0],
         "peak_rss_mb": peak_rss_mb(),
         "seconds": round(seconds, 2),
     }))

@@ -1,9 +1,10 @@
 """Command-line surface: length, analyze, verify, fuzz, oracle-check.
 
-Each cmd_* returns its config and its records; `main` alone builds the
-report, writes it and picks the exit code: 0 when the report counts no
-violation, else 1; 2 usage or parse error (an unwritable --out too), 3
-unsupported instance. Reports are deterministic given the seed.
+Each cmd_* returns its config and its records (fuzz as a lazy iterator);
+`main` alone builds the report, writes it as the records arrive and picks
+the exit code: 0 when the report counts no violation, else 1; 2 usage or
+parse error (an unwritable --out too), 3 unsupported instance. Reports are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -82,11 +84,20 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
     if not out:
         send(sys.stdout.write)
         return
+
+    def destination(action):
+        # Only the file's own errors are write errors: a fuzz campaign builds
+        # its records, and forks its workers, between two writes.
+        try:
+            return action()
+        except OSError as exc:
+            raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+    fh = destination(lambda: open(out, "w", encoding="utf-8"))
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            send(fh.write)
-    except OSError as exc:
-        raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        send(lambda text: destination(lambda: fh.write(text)))
+    finally:
+        destination(fh.close)
 
 
 def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
@@ -130,7 +141,10 @@ def _fuzz_workers(tasks: list) -> int:
 FUZZ_CHUNK = 8
 
 
-def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
+def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, Iterator[dict]]:
+    """Check the campaign, then return its records lazily. On the pool path a
+    generator owns the workers: they start at its first record and are
+    joined once it is exhausted, raises or is closed."""
     families = [f.strip().upper() for f in args.family.split(",") if f.strip()]
     if not families:
         raise ParseError("--family must list at least one family")
@@ -143,6 +157,7 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
             for n in ns:
                 admissible_degrees(fam, n)
     tasks = [(fam, n, args.p, args.seed, i) for fam in families for n in ns for i in range(args.count)]
+    config = {"count": args.count, "families": families, "n": ns, "p": args.p, "seed": args.seed}
     workers = _fuzz_workers(tasks)
     # Imported here: multiprocessing and its pool module add 18-29 ms to
     # `import matlen.cli` (-X importtime), which every other command would pay.
@@ -150,8 +165,9 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
 
     if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
         # The serial path, and the reference the pool is tested against.
-        records = list(map(_fuzz_one, tasks))
-    else:
+        return config, map(_fuzz_one, tasks)
+
+    def pooled() -> Iterator[dict]:
         # Forked workers inherit the imported numpy and matlen (and any
         # monkeypatched helper). Spawn and forkserver re-import them: a
         # 2-worker pool over two n = 4 instances took 0.07-0.08 s with fork,
@@ -159,19 +175,19 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         # leaves its server running after the call. imap keeps task order,
         # so the report, and the first error in task order (as on the serial
         # path), do not depend on the workers.
-        # The pool lives and is joined within this call: callers such as the
+        # The pool is joined before `main` returns: callers such as the
         # benchmark run `main` again and again in one process.
         pool = multiprocessing.get_context("fork").Pool(workers)
         try:
-            records = list(pool.imap(_fuzz_one, tasks, FUZZ_CHUNK))
+            yield from pool.imap(_fuzz_one, tasks, FUZZ_CHUNK)
             pool.close()
         except BaseException:
             pool.terminate()
             raise
         finally:
             pool.join()
-    config = {"count": args.count, "families": families, "n": ns, "p": args.p, "seed": args.seed}
-    return config, records
+
+    return config, pooled()
 
 
 def _check_max_level(args: argparse.Namespace) -> None:
@@ -302,9 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    records: Iterable[dict] = []
+    summary = reports.Summary()
     try:
         config, records = args.func(args)
-        report = reports.make_report(args.command, {"command": args.command, **config}, records)
+        report = reports.make_report(args.command, {"command": args.command, **config}, records, summary)
         _write_output(report, args.out, args.format)
     except (ParseError, NotPrime, EmptySet, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -321,9 +339,13 @@ def main(argv: list[str] | None = None) -> int:
     except MatlenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if any("warnings" in r for r in records):
+    finally:
+        # Closing a pooled campaign part-way terminates and joins its workers.
+        if hasattr(records, "close"):
+            records.close()
+    if summary.warned:
         print("warning: non-split spectrum; some ledger rows are undecidable", file=sys.stderr)
-    return EXIT_OK if report["summary"]["violation_count"] == 0 else EXIT_VIOLATION
+    return EXIT_OK if summary.fields["violation_count"] == 0 else EXIT_VIOLATION
 
 
 def run() -> None:

@@ -83,10 +83,13 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     length i. Terminates within n^2 levels: the dimension strictly increases
     until the final level.
 
-    Candidates are built and inserted BLOCK_ROWS words at a time, generator
-    by generator in frontier order, through `SpanBasis._insert_block`, which
-    takes them as built: already residues in the basis dtype. The
-    frontier is the same, in the same order, as one insert per candidate.
+    A level's candidates are listed generator-major: every generator in
+    turn times the frontier, in frontier order. They are built and inserted
+    BLOCK_ROWS words at a time, whatever the generator boundaries, so a
+    small level is one block; a block is built from the slices of the
+    generators it covers. `SpanBasis._insert_block` takes each block as
+    built: already residues in the basis dtype. The frontier is the same,
+    in the same order, as one insert per candidate.
     A word repeated on a level lies in the span of its first copy, so the
     basis rejects it like any other dependent word. Once the span is full,
     the level's remaining blocks are neither built nor inserted: no word can
@@ -107,11 +110,18 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
         if len(dims) - 1 >= cap:
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
         grown = []
-        blocks = ((g, start) for g in gens for start in range(0, len(frontier), BLOCK_ROWS))
-        for g, start in blocks:
+        # Candidate c of the level is gens[c // f] @ frontier[c % f].
+        f = len(frontier)
+        rows = len(gens) * f
+        for start in range(0, rows, BLOCK_ROWS):
             if basis.dim() == full:
                 break
-            block = _reduce(g @ frontier[start : start + BLOCK_ROWS], field.p)
+            stop = min(start + BLOCK_ROWS, rows)
+            parts = [
+                gens[i] @ frontier[max(start - i * f, 0) : stop - i * f]
+                for i in range(start // f, (stop - 1) // f + 1)
+            ]
+            block = _reduce(parts[0] if len(parts) == 1 else np.concatenate(parts), field.p)
             grown.append(block[basis._insert_block(block.reshape(len(block), full))])
         dims.append(basis.dim())
         frontier = np.concatenate(grown)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any
 
 from .certificates import (
     BoundLedger,
@@ -176,8 +177,9 @@ def write_canonical_json(body: dict, write: Callable[[str], object]) -> None:
     The chunks join to what json.dumps(body, sort_keys=True, indent=2,
     separators=(",", ": ")) + "\n" writes (kept as the reference in the
     tests), written for the types a report holds: dicts with str keys,
-    lists, ints, strs, bools and None. Anything else, such as a float, a
-    tuple or a numpy scalar, raises TypeError. json.dumps runs its
+    lists, ints, strs, bools and None. An iterator is written as the list
+    of what it yields, taken one element at a time. Anything else, such as
+    a float, a tuple or a numpy scalar, raises TypeError. json.dumps runs its
     pure-Python encoder whenever it indents; here a list of ints is one
     join and strings go through json's own C escaper.
     """
@@ -191,23 +193,9 @@ def write_canonical_json(body: dict, write: Callable[[str], object]) -> None:
             put(encode_basestring_ascii(o))
         elif t is int:
             put(int.__repr__(o))
-        elif t is list:
-            if not o:
-                put("[]")
-                return
+        elif t is list and o and set(map(type, o)) == {int}:
             inner = nl + "  "
-            if set(map(type, o)) == {int}:
-                put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
-                return
-            pre = "[" + inner
-            for x in o:
-                if len(out) > WRITE_FRAGMENTS:
-                    write("".join(out))
-                    out.clear()
-                put(pre)
-                emit(x, inner)
-                pre = "," + inner
-            put(nl + "]")
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]")
         elif t is dict:
             if not o:
                 put("{}")
@@ -226,6 +214,17 @@ def write_canonical_json(body: dict, write: Callable[[str], object]) -> None:
             put("false")
         elif o is None:
             put("null")
+        elif t is list or isinstance(o, Iterator):
+            inner = nl + "  "
+            pre = "[" + inner
+            for x in o:
+                if len(out) > WRITE_FRAGMENTS:
+                    write("".join(out))
+                    out.clear()
+                put(pre)
+                emit(x, inner)
+                pre = "," + inner
+            put("[]" if pre[0] == "[" else nl + "]")
         else:
             raise TypeError(f"a report cannot hold {t.__name__} values")
 
@@ -240,35 +239,55 @@ def canonical_json(body: dict) -> str:
     return "".join(chunks)
 
 
-def make_report(command: str, config: dict, instances: list[dict]) -> dict:
-    """Assemble the uniform report body with its summary block."""
-    evaluated = [r for r in instances if "skipped" not in r]
-    violation_count = sum(len(r.get("violations", ())) for r in evaluated)
-    max_length_by_n: dict[str, int] = {}
-    for r in evaluated:
+class Summary:
+    """A report's summary block, folded in one record at a time.
+
+    `fields` is the block. `warned` says whether a record carried warnings;
+    it is not part of the block.
+    """
+
+    def __init__(self) -> None:
+        self.fields: dict[str, Any] = {
+            "instances": 0, "evaluated": 0, "skipped": 0, "violation_count": 0,
+            "max_length_by_n": {}, "paz_conjecture_flags": [], "generation_retries": 0,
+        }
+        self.warned = False
+
+    def add(self, r: dict) -> dict:
+        """Fold r into the summary and return it."""
+        f = self.fields
+        f["instances"] += 1
+        f["generation_retries"] += r.get("retries", 0)
+        self.warned = self.warned or "warnings" in r
+        if "skipped" in r:
+            f["skipped"] += 1
+            return r
+        f["evaluated"] += 1
+        f["violation_count"] += len(r.get("violations", ()))
         rep = r.get("length_report")
         if rep and rep.get("length") is not None:
-            key = str(r["n"])
-            max_length_by_n[key] = max(max_length_by_n.get(key, 0), rep["length"])
-    summary = {
-        "instances": len(instances),
-        "evaluated": len(evaluated),
-        "skipped": len(instances) - len(evaluated),
-        "violation_count": violation_count,
-        "max_length_by_n": max_length_by_n,
-        "paz_conjecture_flags": [
-            r.get("index", i)
-            for i, r in enumerate(evaluated)
-            if "length_exceeds_2n_minus_2" in r.get("flags", ())
-        ],
-        "generation_retries": sum(r.get("retries", 0) for r in instances),
-    }
+            by_n, key = f["max_length_by_n"], str(r["n"])
+            by_n[key] = max(by_n.get(key, 0), rep["length"])
+        if "length_exceeds_2n_minus_2" in r.get("flags", ()):
+            # Without an index, a flag names the record's place among the evaluated ones.
+            f["paz_conjecture_flags"].append(r.get("index", f["evaluated"] - 1))
+        return r
+
+
+def make_report(command: str, config: dict, instances: Iterable[dict], summary: Summary) -> dict:
+    """Assemble the uniform report body; each instance passes through summary.add.
+
+    A list is folded here. Any other iterable stays lazy: each record is
+    folded as the writer takes it and is then dropped. Keys are written
+    sorted, so "instances" precedes "summary", which is complete by then.
+    """
+    records = map(summary.add, instances)
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": command,
         "config": config,
-        "instances": instances,
-        "summary": summary,
+        "instances": list(records) if isinstance(instances, list) else records,
+        "summary": summary.fields,
     }
 
 

@@ -1,5 +1,7 @@
 """CLI surface: file formats, exit codes, determinism."""
 
+import errno
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -19,6 +21,7 @@ from matlen.cli import main
 from matlen.errors import (
     BudgetExceeded,
     GenerationRetriesExhausted,
+    MatlenError,
     NotSplit,
     ParseError,
 )
@@ -146,16 +149,53 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_full_device_is_usage_error(self, capsys, fmt):
+    def test_full_device_is_usage_error(self, capsys, monkeypatch, fmt):
         # The JSON report of this campaign (0.7 MB) reaches the file in several
-        # chunks and fails at the first one the buffer flushes; the 4 KB CSV
-        # fails when the file is closed.
+        # chunks and fails at the first one the buffer flushes, part-way
+        # through the campaign; the 4 KB CSV fails when the file is closed.
+        # The records are kept alive past `main`, so the workers must be
+        # joined by `main` itself, not when the records are collected.
+        kept = []
+        make_report = matlen.reports.make_report
+
+        def keeping(command, config, instances, summary):
+            kept.append(instances)
+            return make_report(command, config, instances, summary)
+
+        monkeypatch.setattr(matlen.reports, "make_report", keeping)
+        monkeypatch.setattr(matlen.cli, "_fuzz_workers", lambda tasks: 2)
         args = ["fuzz", "--count", "25", "--family", "RANDOM,T10,T12,THM39", "--n", "4",
                 "--format", fmt, "--out", "/dev/full"]
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: cannot write /dev/full: No space left on device\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [(["--count", "0"], 2), (["--family", "NOPE"], 2), (["--family", "T12", "--n", "2"], 3), (["--p", "100"], 2)],
+        ids=["zero-count", "unknown-family", "no-admissible-degree", "composite-p"],
+    )
+    def test_fuzz_usage_errors_precede_the_report_and_the_workers(self, tmp_path, monkeypatch, extra, code):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("no worker may start")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
+        monkeypatch.setattr(matlen.cli, "_fuzz_workers", lambda tasks: 2)
+        out = tmp_path / "report.json"
+        args = ["fuzz", "--count", "2", "--n", "4", *extra, "--out", str(out)]
+        assert main(args) == code
+        assert not out.exists()
+
+    def test_fork_failure_is_not_a_write_error(self, tmp_path, monkeypatch):
+        def no_fork(*args, **kwargs):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_fork)
+        monkeypatch.setattr(matlen.cli, "_fuzz_workers", lambda tasks: 2)
+        with pytest.raises(BlockingIOError):
+            main(["fuzz", "--count", "2", "--n", "4", "--out", str(tmp_path / "report.json")])
 
     @pytest.mark.parametrize(
         "args",
@@ -591,9 +631,48 @@ class TestFuzzWorkers:
         args = ["--family", "RANDOM,T10,T12", "--n", "4", "--count", "3", "--seed", "4"]
         serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
         pooled = self.run(monkeypatch, capsys, tmp_path, args, 3)
-        assert serial[0] == code and serial[1] is None
+        # The report is opened before the first instance is built and
+        # streamed: a campaign that fails part-way leaves a partial one.
+        assert serial[0] == code and b'"summary"' not in serial[1]
         assert serial[2].startswith(f"{prefix}: synthetic failure at seed ")
         assert pooled == serial
+
+    def test_error_mid_stream_matches_serial(self, monkeypatch, capsys, tmp_path):
+        # Instance 5 fails. The report goes out a chunk at nearly every list
+        # element, so each path leaves a prefix of the full report behind:
+        # the serial one holds records up to 3 at least, while the pool
+        # returns a chunk of FUZZ_CHUNK instances whole or not at all and may
+        # stop sooner. The exit code and the message are the same.
+        args = ["--family", "RANDOM", "--n", "4", "--count", "8", "--seed", "6"]
+        full = self.run(monkeypatch, capsys, tmp_path, args, 1)[1]
+        real = matlen.cli._fuzz_one
+
+        @functools.wraps(real)  # the pool pickles it by name, as matlen.cli._fuzz_one
+        def fuzz_one(task):
+            if task[-1] == 5:
+                raise MatlenError(f"synthetic failure at instance {task[-1]}")
+            return real(task)
+
+        monkeypatch.setattr(matlen.cli, "_fuzz_one", fuzz_one)
+        monkeypatch.setattr(matlen.reports, "WRITE_FRAGMENTS", 1)
+        serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
+        pooled = self.run(monkeypatch, capsys, tmp_path, args, 2)
+        assert serial[0] == 2 and serial[2] == "error: synthetic failure at instance 5\n"
+        assert (pooled[0], pooled[2]) == (serial[0], serial[2])
+        assert b'"index": 3' in serial[1]
+        for partial in (serial[1], pooled[1]):
+            assert full.startswith(partial) and b'"summary"' not in partial
+
+    def test_streamed_summary_matches_the_list_summary(self, tmp_path):
+        # The summary written after the streamed seed-3 campaign, against
+        # make_report's on the list of its records.
+        out = tmp_path / "report.json"
+        args = ["fuzz", "--family", "RANDOM,T10,T12,THM39", "--n", "4,6,8,10", "--p", "101",
+                "--count", "15", "--seed", "3", "--out", str(out)]
+        assert main(args) == 0
+        body = json.loads(out.read_text())
+        listed = matlen.reports.make_report("fuzz", body["config"], body["instances"], matlen.reports.Summary())
+        assert body["summary"] == listed["summary"]
 
 
 class TestCsvHelper:

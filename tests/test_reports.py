@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import matlen.reports
 from matlen.cli import main
-from matlen.reports import canonical_json, write_canonical_json
+from matlen.reports import Summary, canonical_json, make_report, write_canonical_json
 from reference import canonical_json as reference_json
 
 # Quotes, backslashes, control characters, DEL and non-ASCII text (BMP and
@@ -45,6 +45,25 @@ class TestCanonicalJson:
         # Chunked at nearly every list element, the text joins to the same bytes.
         with mock.patch.object(matlen.reports, "WRITE_FRAGMENTS", 1):
             assert canonical_json(body) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=st.dictionaries(text, trees(), max_size=5), data=st.data())
+    @example(body={"a": [], "b": [[]], "c": [{}], "d": [1, 2], "e": [[1], [], [2, [3]]]}, data=None)
+    def test_iterators_are_written_as_lists(self, body, data):
+        # Each list, chosen by Hypothesis (every one in the examples), is
+        # replaced by an iterator over its elements, empty ones included.
+        def lazy(o):
+            if type(o) is dict:
+                return {k: lazy(v) for k, v in o.items()}
+            if type(o) is not list:
+                return o
+            items = [lazy(x) for x in o]
+            return iter(items) if data is None or data.draw(st.booleans()) else items
+
+        expected = reference_json(body)
+        assert canonical_json(lazy(body)) == expected
+        with mock.patch.object(matlen.reports, "WRITE_FRAGMENTS", 1):
+            assert canonical_json(lazy(body)) == expected
 
     @pytest.mark.parametrize(
         "value",
@@ -105,3 +124,38 @@ def test_large_report_reaches_the_sink_in_bounded_chunks(tmp_path):
             assert piece_ends[last] == end
             assert last - first + 1 <= fragments + 1
             start = end
+
+
+class TestSummary:
+    def records(self):
+        return [
+            {"index": 0, "n": 4, "skipped": "no generating set", "retries": 64},
+            {"n": 4, "length_report": {"length": 7}, "flags": ["length_exceeds_2n_minus_2"], "retries": 2},
+            {"index": 7, "n": 4, "length_report": {"length": 5}, "violations": [{"bound": "b"}]},
+            {"index": 9, "n": 6, "length_report": {"length": None}, "flags": ["length_exceeds_2n_minus_2"]},
+            {"n": 6, "length_report": {"length": 9}, "warnings": ["w"]},
+        ]
+
+    def test_list_and_iterator_give_one_summary(self):
+        summaries = []
+        for instances in (self.records(), iter(self.records())):
+            summary = Summary()
+            report = make_report("fuzz", {}, instances, summary)
+            assert report["summary"] is summary.fields
+            # A list is folded at once; an iterator as the writer takes it.
+            assert (summary.fields["instances"] == 5) == (type(instances) is list)
+            text = canonical_json(report)
+            assert json.loads(text)["summary"] == summary.fields
+            summaries.append((text, summary.warned))
+        assert summaries[0] == summaries[1]
+        assert json.loads(summaries[0][0])["summary"] == {
+            "instances": 5,
+            "evaluated": 4,
+            "skipped": 1,
+            "violation_count": 1,
+            "max_length_by_n": {"4": 7, "6": 9},
+            # The record without an index is the first evaluated one.
+            "paz_conjecture_flags": [0, 9],
+            "generation_retries": 66,
+        }
+        assert summaries[0][1] is True
