@@ -73,9 +73,9 @@ def find_rank_reduction(
     Maps each budget r to the least vector by (total degree, exponents under
     ascending eigenvalue order) among those of rank 1..r, keys ascending; a
     budget with no certificate is left out. Only the distinct kept vectors
-    are evaluated as matrices, each straight from its factors in deg(v)
-    products, and each witness's rank is checked against the profile's:
-    CertificateMismatch if they differ.
+    are evaluated as matrices, each in deg(v) products of its factors, with
+    each A - lambda I formed once; each witness's rank is checked against
+    the profile's: CertificateMismatch if they differ.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
@@ -86,7 +86,7 @@ def find_rank_reduction(
     for lam, top in zip(eigenvalues, tops):
         contributions = ((x, sum(max(s - x, 0) for s in profile.blocks[lam])) for x in range(top))
         options.append([(x, c) for x, c in contributions if c <= r_max])
-    least: dict[int, tuple[int, tuple[int, ...]]] = {}  # rank -> least (degree, v)
+    best = [None] * (r_max + 1)  # best[b]: least ((degree, v), rank) of rank <= b, in one pass
     for size in range(1, min(r_max, len(eigenvalues)) + 1):
         for below in combinations(range(len(eigenvalues)), size):
             for picks in product(*(options[i] for i in below)):
@@ -98,30 +98,26 @@ def find_rank_reduction(
                     v[i] = x
                 if not any(v):
                     continue
-                key = (sum(v), tuple(v))
-                if r not in least or key < least[r]:
-                    least[r] = key
-    kept: dict[int, tuple[tuple[int, tuple[int, ...]], int]] = {}
-    for budget in range(1, r_max + 1):
-        hits = [(key, r) for r, key in least.items() if r <= budget]
-        if hits:
-            kept[budget] = min(hits)
+                candidate = ((sum(v), tuple(v)), r)
+                for b in range(r, r_max + 1):
+                    if best[b] is None or candidate < best[b]:
+                        best[b] = candidate
     identity = Matrix.identity(a.field, a.n)
-    certs: dict[tuple[int, tuple[int, ...]], RankCertificate] = {}
-    for (degree, v), r in dict(kept.values()).items():
+    shifts = [a.sub(identity.scale(lam)) for lam in eigenvalues]
+    certs: dict[tuple[tuple[int, tuple[int, ...]], int], RankCertificate] = {}
+    for (degree, v), r in dict.fromkeys(filter(None, best)):  # distinct picks, in budget order
         witness = identity
-        for lam, exp in zip(eigenvalues, v):
-            shifted = a.sub(identity.scale(lam))
+        for shift, exp in zip(shifts, v):
             for _ in range(exp):
-                witness = mat_mul(witness, shifted)
+                witness = mat_mul(witness, shift)
         got = rank(witness)
         if got != r:
             raise CertificateMismatch(
                 f"exponents {v} over eigenvalues {eigenvalues}: witness rank {got}, "
                 f"Jordan profile predicts {r}"
             )
-        certs[degree, v] = RankCertificate(tuple(zip(eigenvalues, v)), degree, r, witness)
-    return {budget: certs[key] for budget, (key, _) in kept.items()}
+        certs[(degree, v), r] = RankCertificate(tuple(zip(eigenvalues, v)), degree, r, witness)
+    return {b: certs[pick] for b, pick in enumerate(best) if pick}
 
 
 def pappacena_bound(r: int, k: int, n: int) -> int:
@@ -365,13 +361,9 @@ def _certificate_entries(n: int, analyses: list[GeneratorAnalysis]) -> list[Boun
     """Per-generator bound entries derived from rank-reduction certificates."""
     entries: list[BoundEntry] = []
     for a in analyses:
-        seen: set[tuple[int, int]] = set()
-        for cert in a.certificates.values():
-            key = (cert.achieved_rank, cert.degree)
-            if key in seen:
-                continue
-            seen.add(key)
-            r, d = key
+        # A budget whose least certificate is a lower budget's repeats it.
+        for cert in dict.fromkeys(a.certificates.values()):
+            r, d = cert.achieved_rank, cert.degree
             note = f"generator {a.index} has a rank-{r} certificate of degree {d}"
             entries.append(
                 BoundEntry(f"pappacena_r{r}_gen{a.index}", pappacena_bound(r, d, n), True, note)

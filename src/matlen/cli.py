@@ -3,8 +3,9 @@
 Each cmd_* returns its config and its records (fuzz as a lazy iterator);
 `main` alone builds the report, writes it as the records arrive and picks
 the exit code: 0 when the report counts no violation, else 1; 2 usage or
-parse error (an unwritable --out too), 3 unsupported instance. Reports are
-deterministic given the seed.
+parse error (an unwritable --out too), 3 unsupported instance; each
+`MatlenError` carries its own code and label. Reports are deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -19,18 +20,7 @@ import numpy as np
 
 from . import reports
 from .certificates import analyze_generators, bound_ledger
-from .errors import (
-    BudgetExceeded,
-    EmptySet,
-    FamilyHypothesisViolated,
-    GenerationRetriesExhausted,
-    MatlenError,
-    ModulusTooLarge,
-    NotPrime,
-    NotSplit,
-    ParseError,
-    SizeMismatch,
-)
+from .errors import EmptySet, GenerationRetriesExhausted, MatlenError, ParseError
 from .instances import (
     FAMILIES,
     admissible_degrees,
@@ -43,8 +33,7 @@ from .linalg import PrimeField
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
-EXIT_USAGE = 2
-EXIT_UNSUPPORTED = 3
+EXIT_USAGE = MatlenError.exit_code
 
 DEFAULT_P = 101
 
@@ -123,12 +112,13 @@ def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
 
 
 def _fuzz_workers(tasks: list) -> int:
-    """Worker processes for a campaign: one per CPU this process may run on, at most one per task."""
+    """Worker processes for a campaign: one per CPU this process may run on,
+    at most one per FUZZ_CHUNK tasks, so a one-chunk campaign runs serially."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, len(tasks))
+    return min(cpus, -(len(tasks) // -FUZZ_CHUNK))
 
 
 # cmd_fuzz hands its instances to the workers FUZZ_CHUNK at a time. Best
@@ -324,19 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         config, records = args.func(args)
         report = reports.make_report(args.command, {"command": args.command, **config}, records, summary)
         _write_output(report, args.out, args.format)
-    except (ParseError, NotPrime, EmptySet, BudgetExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (
-        ModulusTooLarge,
-        FamilyHypothesisViolated,
-        GenerationRetriesExhausted,
-        SizeMismatch,
-        NotSplit,
-    ) as exc:
-        print(f"unsupported instance: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except MatlenError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

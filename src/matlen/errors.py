@@ -2,7 +2,17 @@
 
 
 class MatlenError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors: the CLI prints `label: message` and exits `exit_code`."""
+
+    exit_code = 2
+    label = "error"
+
+
+class Unsupported(MatlenError):
+    """The instance lies outside the supported regime."""
+
+    exit_code = 3
+    label = "unsupported instance"
 
 
 class DimensionMismatch(MatlenError):
@@ -17,7 +27,7 @@ class NotPrime(MatlenError):
     """Requested modulus is not a prime number."""
 
 
-class ModulusTooLarge(MatlenError):
+class ModulusTooLarge(Unsupported):
     """Modulus exceeds the 2^20 cap under which int64 and float64 arithmetic stays exact."""
 
 
@@ -29,7 +39,7 @@ class Singular(MatlenError):
     """Matrix inversion requested for a rank-deficient matrix."""
 
 
-class NotSplit(MatlenError):
+class NotSplit(Unsupported):
     """A minimal polynomial does not factor into linear terms over F_p."""
 
 
@@ -53,15 +63,15 @@ class InvalidK(MatlenError):
     """Rank-one span level below the bound's admissible range (k < 2)."""
 
 
-class SizeMismatch(MatlenError):
+class SizeMismatch(Unsupported):
     """Jordan block sizes do not sum to the requested order."""
 
 
-class FamilyHypothesisViolated(MatlenError):
+class FamilyHypothesisViolated(Unsupported):
     """Prescribed Jordan structure contradicts the instance family's hypothesis."""
 
 
-class GenerationRetriesExhausted(MatlenError):
+class GenerationRetriesExhausted(Unsupported):
     """Random instance construction failed to produce a generating set."""
 
 

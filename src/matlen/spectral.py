@@ -173,8 +173,9 @@ def split_roots(poly: Polynomial) -> Spectrum:
 def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]:
     """Block-size multisets of several matrices of one order and field, one per (A, spectrum).
 
-    For each eigenvalue, the count of blocks of size >= j is
-    rank((A-lambda I)^{j-1}) - rank((A-lambda I)^j). Every power for
+    For each eigenvalue, r_{j-1} - 2 r_j + r_{j+1} blocks have size exactly j,
+    with r_j = rank (A-lambda I)^j, r_0 = n and r_{e+1} = r_e for e = e_lambda;
+    read from j = e down, the sizes come out descending. Every power for
     j = 1..e_lambda, of every eigenvalue of every matrix, is formed first
     (int64 products of residues, each summing n terms below 2^40), and
     `_stack_ranks` ranks them all at once; an empty list makes no call.
@@ -203,18 +204,12 @@ def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]
     start = 0
     for _, spec in pairs:
         blocks: dict[int, tuple[int, ...]] = {}
-        total = 0
         for lam, e_lam in spec.roots:
-            ranks = [n] + all_ranks[start : start + e_lam]
+            r = [n, *all_ranks[start : start + e_lam]]
             start += e_lam
-            at_least = [ranks[j - 1] - ranks[j] for j in range(1, e_lam + 1)]
-            sizes: list[int] = []
-            for j in range(1, e_lam + 1):
-                exactly = at_least[j - 1] - (at_least[j] if j < e_lam else 0)
-                sizes.extend([j] * exactly)
-            sizes.sort(reverse=True)
-            blocks[lam] = tuple(sizes)
-            total += sum(sizes)
+            r.append(r[-1])
+            blocks[lam] = tuple(j for j in range(e_lam, 0, -1) for _ in range(r[j - 1] - 2 * r[j] + r[j + 1]))
+        total = sum(map(sum, blocks.values()))
         if total != n:
             raise CharPolyNotSplit(
                 f"Jordan blocks cover {total} of {n} dimensions; characteristic polynomial does not split"

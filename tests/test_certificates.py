@@ -235,6 +235,26 @@ class TestFindRankReduction:
         assert list(certs) == [1, 2, 3, 4]
         assert len(calls) == len({c.exponents for c in certs.values()})
 
+    def test_each_shift_formed_once(self, monkeypatch):
+        # Several witnesses share eigenvalues, yet each A - lambda I is formed
+        # at most once per call.
+        calls = []
+        real_sub = Matrix.sub
+
+        def counting_sub(x, y):
+            calls.append(y)
+            return real_sub(x, y)
+
+        a = conjugate(
+            random_invertible(8, F101, 5),
+            jordan_matrix(F101, JordanSpec(((1, 2), (2, 2), (3, 1), (4, 1), (5, 2)))),
+        )
+        profile = profile_of(a)
+        monkeypatch.setattr(Matrix, "sub", counting_sub)
+        certs = find_rank_reduction(a, profile, 4)
+        assert len({c.exponents for c in certs.values()}) > 1
+        assert 0 < len(calls) <= len(profile.blocks)
+
     def test_witnesses_built_from_their_own_factors(self, monkeypatch):
         # Each distinct kept witness costs at most deg(v) products, with no
         # chain of powers built first, in this module or in spectral (whose

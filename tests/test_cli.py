@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import matlen.cli
+import matlen.errors
 import matlen.instances
 import matlen.reports
 from matlen.certificates import BoundEntry, BoundLedger
@@ -72,7 +73,52 @@ class TestParsing:
             parse_instance(obj)
 
 
+# Each error's exit code and stderr label, as `main` mapped them when it
+# listed the unsupported types by hand; `Unsupported` is their common base.
+ERROR_EXITS = {
+    "MatlenError": (2, "error"),
+    "DimensionMismatch": (2, "error"),
+    "FieldMismatch": (2, "error"),
+    "NotPrime": (2, "error"),
+    "ModulusTooLarge": (3, "unsupported instance"),
+    "AccumulatorOverflow": (2, "error"),
+    "Singular": (2, "error"),
+    "NotSplit": (3, "unsupported instance"),
+    "CharPolyNotSplit": (3, "unsupported instance"),
+    "CertificateMismatch": (2, "error"),
+    "EmptySet": (2, "error"),
+    "BudgetExceeded": (2, "error"),
+    "InvalidK": (2, "error"),
+    "SizeMismatch": (3, "unsupported instance"),
+    "FamilyHypothesisViolated": (3, "unsupported instance"),
+    "GenerationRetriesExhausted": (3, "unsupported instance"),
+    "ParseError": (2, "error"),
+    "Unsupported": (3, "unsupported instance"),
+}
+
+
 class TestExitCodes:
+    def test_every_error_class_is_in_the_table(self):
+        classes = {
+            name
+            for name, obj in vars(matlen.errors).items()
+            if isinstance(obj, type) and issubclass(obj, MatlenError)
+        }
+        assert classes == set(ERROR_EXITS)
+
+    @pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+    def test_error_class_carries_its_exit(self, capsys, monkeypatch, name):
+        exc_type = getattr(matlen.errors, name)
+        code, label = ERROR_EXITS[name]
+        assert (exc_type.exit_code, exc_type.label) == (code, label)
+
+        def fail(path):
+            raise exc_type("synthetic failure")
+
+        monkeypatch.setattr(matlen.reports, "load_instance", fail)
+        assert main(["length", "--input", "inst.json"]) == code
+        assert capsys.readouterr().err == f"{label}: synthetic failure\n"
+
     def test_malformed_input_is_usage_error(self, tmp_path):
         obj = units_instance()
         obj["matrices"][0][1] = [0, 0, 0]
@@ -662,6 +708,25 @@ class TestFuzzWorkers:
         assert b'"index": 3' in serial[1]
         for partial in (serial[1], pooled[1]):
             assert full.startswith(partial) and b'"summary"' not in partial
+
+    def test_one_worker_per_chunk(self):
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        assert matlen.cli.FUZZ_CHUNK == 8
+        assert matlen.cli._fuzz_workers(range(8)) == 1
+        assert matlen.cli._fuzz_workers(range(9)) == min(cpus, 2)
+
+    def test_one_chunk_campaign_starts_no_worker(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk campaign must run serially")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", no_pool)
+        args = ["fuzz", "--family", "RANDOM,T10", "--n", "4", "--count", "4", "--out", str(tmp_path / "r.json")]
+        assert main(args) == 0
+        assert multiprocessing.active_children() == []
+        assert len(json.loads((tmp_path / "r.json").read_text())["instances"]) == 8
 
     def test_streamed_summary_matches_the_list_summary(self, tmp_path):
         # The summary written after the streamed seed-3 campaign, against
