@@ -3,9 +3,9 @@
 Each cmd_* returns its config and its records (fuzz as a lazy iterator);
 `main` alone builds the report, writes it as the records arrive and picks
 the exit code: 0 when the report counts no violation, else 1; 2 usage or
-parse error (an unwritable --out too), 3 unsupported instance; each
-`MatlenError` carries its own code and label. Reports are deterministic
-given the seed.
+parse error (a failed write, to --out or stdout, too), 3 unsupported
+instance; each `MatlenError` carries its own code and label. Reports are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -64,29 +64,25 @@ def _record(index: int, gs: GeneratingSet, fields: dict) -> dict:
 
 
 def _write_output(report: dict, out: str | None, fmt: str) -> None:
-    def send(write) -> None:
+    def destination(action):
+        # Only the destination's own errors are write errors: a fuzz campaign
+        # builds its records, and forks its workers, between two writes.
+        try:
+            return action()
+        except OSError as exc:
+            raise MatlenError(f"cannot write {out or 'stdout'}: {exc.strerror or exc}") from exc
+
+    def write(text: str) -> None:
+        destination(lambda: fh.write(text))
+
+    fh = destination(lambda: open(out, "w", encoding="utf-8")) if out else sys.stdout
+    try:
         if fmt == "json":
             reports.write_canonical_json(report, write)
         else:
             write(reports.report_to_csv(report))
-
-    if not out:
-        send(sys.stdout.write)
-        return
-
-    def destination(action):
-        # Only the file's own errors are write errors: a fuzz campaign builds
-        # its records, and forks its workers, between two writes.
-        try:
-            return action()
-        except OSError as exc:
-            raise MatlenError(f"cannot write {out}: {exc.strerror or exc}") from exc
-
-    fh = destination(lambda: open(out, "w", encoding="utf-8"))
-    try:
-        send(lambda text: destination(lambda: fh.write(text)))
     finally:
-        destination(fh.close)
+        destination(fh.close if out else fh.flush)
 
 
 def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
@@ -111,14 +107,24 @@ def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
     return _record(index, gs, {**fields, **base, "retries": built.retries})
 
 
-def _fuzz_workers(tasks: list) -> int:
-    """Worker processes for a campaign: one per CPU this process may run on,
-    at most one per FUZZ_CHUNK tasks, so a one-chunk campaign runs serially."""
+def _fuzz_task(task: tuple[str, int, int, int, int]) -> dict | Exception:
+    """_fuzz_one, returning the errors `main` reports: imap hands a chunk over
+    whole or not at all, so raising one would drop the records before it."""
+    try:
+        return _fuzz_one(task)
+    except (MatlenError, ValueError) as exc:
+        return exc
+
+
+def _fuzz_workers(tasks: int) -> int:
+    """Worker processes for a campaign of `tasks` instances: one per CPU this
+    process may run on, at most one per FUZZ_CHUNK instances, so a one-chunk
+    campaign runs serially."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(cpus, -(len(tasks) // -FUZZ_CHUNK))
+    return min(cpus, -(tasks // -FUZZ_CHUNK))
 
 
 # cmd_fuzz hands its instances to the workers FUZZ_CHUNK at a time. Best
@@ -146,9 +152,10 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, Iterator[dict]]:
         if fam != "RANDOM":
             for n in ns:
                 admissible_degrees(fam, n)
-    tasks = [(fam, n, args.p, args.seed, i) for fam in families for n in ns for i in range(args.count)]
+    # Drawn lazily; the pool reads ahead only as far as the pipe to its workers holds.
+    tasks = ((fam, n, args.p, args.seed, i) for fam in families for n in ns for i in range(args.count))
     config = {"count": args.count, "families": families, "n": ns, "p": args.p, "seed": args.seed}
-    workers = _fuzz_workers(tasks)
+    workers = _fuzz_workers(len(families) * len(ns) * args.count)
     # Imported here: multiprocessing and its pool module add 18-29 ms to
     # `import matlen.cli` (-X importtime), which every other command would pay.
     import multiprocessing
@@ -165,17 +172,14 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, Iterator[dict]]:
         # leaves its server running after the call. imap keeps task order,
         # so the report, and the first error in task order (as on the serial
         # path), do not depend on the workers.
-        # The pool is joined before `main` returns: callers such as the
-        # benchmark run `main` again and again in one process.
-        pool = multiprocessing.get_context("fork").Pool(workers)
-        try:
-            yield from pool.imap(_fuzz_one, tasks, FUZZ_CHUNK)
-            pool.close()
-        except BaseException:
-            pool.terminate()
-            raise
-        finally:
-            pool.join()
+        # Leaving the `with` terminates and joins the workers, idle once imap
+        # is exhausted, before `main` returns: callers such as the benchmark
+        # run `main` again and again in one process.
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            for record in pool.imap(_fuzz_task, tasks, FUZZ_CHUNK):
+                if isinstance(record, Exception):
+                    raise record
+                yield record
 
     return config, pooled()
 

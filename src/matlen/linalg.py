@@ -82,12 +82,13 @@ class PrimeField:
 
     def __init__(self, p: int):
         p = _integer(p, "modulus")
-        if not _is_prime(p):
-            raise NotPrime(f"modulus {p!r} is not a prime number")
+        # The cap first: trial division of a modulus far above it could run for hours.
         if p > MAX_MODULUS:
             raise ModulusTooLarge(
                 f"modulus {p} exceeds the 2^20 cap that keeps int64 and float64 arithmetic exact"
             )
+        if not _is_prime(p):
+            raise NotPrime(f"modulus {p!r} is not a prime number")
         self.p = p
 
     def __eq__(self, other: object) -> bool:

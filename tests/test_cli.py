@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -398,6 +399,21 @@ class TestModuleEntryPoint:
             assert captured.err.encode("utf-8") == proc.stderr
         assert codes == [0, 0, 2, 0]
 
+    def test_closed_stdout_is_a_write_error(self):
+        # A 0.25 MB report, well over a 64 KB pipe buffer: the reader takes
+        # 100 bytes and goes, as `| head -c 100` does. A failed write to
+        # stdout is a write error like an unwritable --out, not a traceback.
+        env = dict(os.environ, PYTHONPATH=str(Path(matlen.__file__).parents[1]))
+        args = ["fuzz", "--count", "10", "--n", "4,6", "--family", "RANDOM,T10"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matlen.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (2, b"error: cannot write stdout: Broken pipe\n")
+
 
 class TestLengthCommand:
     def test_units_pair(self, tmp_path):
@@ -685,15 +701,16 @@ class TestFuzzWorkers:
 
     def test_error_mid_stream_matches_serial(self, monkeypatch, capsys, tmp_path):
         # Instance 5 fails. The report goes out a chunk at nearly every list
-        # element, so each path leaves a prefix of the full report behind:
-        # the serial one holds records up to 3 at least, while the pool
-        # returns a chunk of FUZZ_CHUNK instances whole or not at all and may
-        # stop sooner. The exit code and the message are the same.
+        # element, so each path leaves a prefix of the full report behind,
+        # holding records up to 3 at least. The pool receives a chunk of
+        # FUZZ_CHUNK instances whole or not at all, so its workers hand the
+        # error back as a value after records 0-4, as the serial path
+        # writes them: the partial reports are the same bytes.
         args = ["--family", "RANDOM", "--n", "4", "--count", "8", "--seed", "6"]
         full = self.run(monkeypatch, capsys, tmp_path, args, 1)[1]
         real = matlen.cli._fuzz_one
 
-        @functools.wraps(real)  # the pool pickles it by name, as matlen.cli._fuzz_one
+        @functools.wraps(real)  # a pool mapping it would pickle it by name, as matlen.cli._fuzz_one
         def fuzz_one(task):
             if task[-1] == 5:
                 raise MatlenError(f"synthetic failure at instance {task[-1]}")
@@ -704,7 +721,7 @@ class TestFuzzWorkers:
         serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
         pooled = self.run(monkeypatch, capsys, tmp_path, args, 2)
         assert serial[0] == 2 and serial[2] == "error: synthetic failure at instance 5\n"
-        assert (pooled[0], pooled[2]) == (serial[0], serial[2])
+        assert pooled == serial
         assert b'"index": 3' in serial[1]
         for partial in (serial[1], pooled[1]):
             assert full.startswith(partial) and b'"summary"' not in partial
@@ -715,8 +732,30 @@ class TestFuzzWorkers:
         else:
             cpus = os.cpu_count() or 1
         assert matlen.cli.FUZZ_CHUNK == 8
-        assert matlen.cli._fuzz_workers(range(8)) == 1
-        assert matlen.cli._fuzz_workers(range(9)) == min(cpus, 2)
+        assert matlen.cli._fuzz_workers(8) == 1
+        assert matlen.cli._fuzz_workers(9) == min(cpus, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tasks_are_drawn_lazily(self, monkeypatch, workers):
+        # 100000 task tuples held at once take about 12 MB; drawn as the
+        # records are, the campaign's first record costs at most a few
+        # hundred KB.
+        # A one-instance campaign first warms the caches the first record fills.
+        monkeypatch.setattr(matlen.cli, "_fuzz_workers", lambda tasks: workers)
+        parse = matlen.cli.build_parser().parse_args
+        list(matlen.cli.cmd_fuzz(parse(["fuzz", "--count", "1", "--n", "4"]))[1])
+        records = None
+        tracemalloc.start()
+        try:
+            _, records = matlen.cli.cmd_fuzz(parse(["fuzz", "--count", "100000", "--n", "4"]))
+            assert next(iter(records))["index"] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            if hasattr(records, "close"):
+                records.close()
+        assert multiprocessing.active_children() == []
+        assert peak < 1 << 20
 
     def test_one_chunk_campaign_starts_no_worker(self, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):

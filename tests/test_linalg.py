@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import matlen.linalg
 from matlen.errors import (
     AccumulatorOverflow,
     DimensionMismatch,
@@ -20,6 +21,7 @@ from matlen.errors import (
 )
 from matlen.instances import random_invertible
 from matlen.linalg import (
+    MAX_MODULUS,
     REDUCE_SMALL,
     Matrix,
     Polynomial,
@@ -76,6 +78,18 @@ class TestPrimeField:
     def test_rejects_modulus_over_cap(self):
         with pytest.raises(ModulusTooLarge):
             PrimeField(1048583)  # smallest prime above 2^20
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 2**61, 1048584], ids=["mersenne-prime", "power-of-two", "cap-plus-8"])
+    def test_cap_is_checked_before_primality(self, monkeypatch, p):
+        # Trial division of 2^61 - 1 runs up to 1.5e9 and takes minutes: a
+        # modulus over the cap is unsupported, prime or not, untested.
+        def no_trial_division(q):
+            raise AssertionError(f"primality of {q} tested")
+
+        monkeypatch.setattr(matlen.linalg, "_is_prime", no_trial_division)
+        assert p > MAX_MODULUS
+        with pytest.raises(ModulusTooLarge):
+            PrimeField(p)
 
     def test_inverse_roundtrip(self):
         for a in range(1, 7):
