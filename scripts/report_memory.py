@@ -1,11 +1,12 @@
 """Peak memory of one `matlen fuzz` campaign, run in this process through `cli.main`.
 
-    PYTHONPATH=src python scripts/report_memory.py --count 30 --seed 0
+    PYTHONPATH=src python scripts/report_memory.py --count 30 --seed 0 --format json
 
 Runs `fuzz --family RANDOM,T10,T12,THM39 --n 4,6,8 --p 101` at the given
-`--count` and `--seed` (at `--count 30` this is the fuzz-campaign benchmark's
-campaign) once, writing the JSON report into a temporary directory. Prints
-one JSON line: the count, the instances, the report size in MB (10^6 bytes),
+`--count`, `--seed` and `--format` (at `--count 30 --format json` this is the
+fuzz-campaign benchmark's campaign) once, writing the report into a temporary
+directory. Prints one JSON line: the count, the format, the instances, the
+report size in MB (10^6 bytes),
 the peak RSS (ru_maxrss) in MB at the end, and the seconds `cli.main` took.
 Each record is written as it arrives and then dropped, so there is no moment
 at which all of them are held. ru_maxrss is the peak of this process so far,
@@ -37,11 +38,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--count", type=int, default=30, help="instances per (family, n) pair")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "report.json")
-        argv = ["fuzz", "--family", FAMILIES, "--n", ORDERS, "--p", "101",
-                "--count", str(args.count), "--seed", str(args.seed), "--out", out]
+        out = os.path.join(tmp, f"report.{args.format}")
+        argv = ["fuzz", "--family", FAMILIES, "--n", ORDERS, "--p", "101", "--count", str(args.count),
+                "--seed", str(args.seed), "--format", args.format, "--out", out]
         start = time.perf_counter()
         code = matlen_main(argv)
         seconds = time.perf_counter() - start
@@ -50,6 +52,7 @@ def main() -> None:
         size = os.path.getsize(out)
     print(json.dumps({
         "count": args.count,
+        "format": args.format,
         "instances": args.count * len(FAMILIES.split(",")) * len(ORDERS.split(",")),
         "report_mb": round(size / 1e6, 1),
         "peak_rss_mb": peak_rss_mb(),

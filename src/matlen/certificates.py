@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
+import numpy as np
+
 from . import spectral
 from .errors import CertificateMismatch, InvalidK, NotSplit
 from .length import GeneratingSet
-from .linalg import Matrix, mat_mul, rank
+from .linalg import Matrix, rank
 from .spectral import (
     JordanProfile,
     Spectrum,
@@ -57,6 +59,12 @@ class BoundLedger:
         return tuple(e for e in self.entries if e.applicable)
 
 
+def _mul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """x @ y mod p for n x n arrays of residues. Each entry sums n products
+    below p^2 <= 2^40, so the int64 product is exact for every n < 2^23."""
+    return (x @ y) % p
+
+
 def find_rank_reduction(
     a: Matrix, profile: JordanProfile, r_max: int
 ) -> dict[int, RankCertificate]:
@@ -73,9 +81,9 @@ def find_rank_reduction(
     Maps each budget r to the least vector by (total degree, exponents under
     ascending eigenvalue order) among those of rank 1..r, keys ascending; a
     budget with no certificate is left out. Only the distinct kept vectors
-    are evaluated as matrices, each in deg(v) products of its factors, with
-    each A - lambda I formed once; each witness's rank is checked against
-    the profile's: CertificateMismatch if they differ.
+    are evaluated, each in deg(v) - 1 int64 products of its factors, with
+    each A - lambda I formed once as an array; each witness's rank is checked
+    against the profile's: CertificateMismatch if they differ.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
@@ -102,14 +110,16 @@ def find_rank_reduction(
                 for b in range(r, r_max + 1):
                     if best[b] is None or candidate < best[b]:
                         best[b] = candidate
-    identity = Matrix.identity(a.field, a.n)
-    shifts = [a.sub(identity.scale(lam)) for lam in eigenvalues]
+    p = a.field.p
+    eye = np.eye(a.n, dtype=np.int64)
+    shifts = [(a.entries - lam * eye) % p for lam in eigenvalues]
     certs: dict[tuple[tuple[int, tuple[int, ...]], int], RankCertificate] = {}
     for (degree, v), r in dict.fromkeys(filter(None, best)):  # distinct picks, in budget order
-        witness = identity
-        for shift, exp in zip(shifts, v):
-            for _ in range(exp):
-                witness = mat_mul(witness, shift)
+        factors = [shift for shift, exp in zip(shifts, v) for _ in range(exp)]
+        entries = factors[0]  # v is not all zero
+        for shift in factors[1:]:
+            entries = _mul_mod(entries, shift, p)
+        witness = Matrix(a.field, entries)
         got = rank(witness)
         if got != r:
             raise CertificateMismatch(

@@ -80,7 +80,8 @@ def _write_output(report: dict, out: str | None, fmt: str) -> None:
         if fmt == "json":
             reports.write_canonical_json(report, write)
         else:
-            write(reports.report_to_csv(report))
+            for line in reports.csv_lines(report):
+                write(line)
     finally:
         destination(fh.close if out else fh.flush)
 

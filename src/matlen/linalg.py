@@ -61,17 +61,24 @@ def _integer(value, what: str) -> int:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Primality of an integer p < 1,373,653, which covers every modulus up to
+    the 2^20 cap: Miller-Rabin to the bases 2 and 3, which no composite below
+    1,373,653 passes (the least strong pseudoprime to both)."""
+    if p < 4 or p % 2 == 0:
+        return p in (2, 3)
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3):
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 
@@ -82,7 +89,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         p = _integer(p, "modulus")
-        # The cap first: trial division of a modulus far above it could run for hours.
+        # The cap first: _is_prime is exact only below 1,373,653.
         if p > MAX_MODULUS:
             raise ModulusTooLarge(
                 f"modulus {p} exceeds the 2^20 cap that keeps int64 and float64 arithmetic exact"
@@ -236,13 +243,7 @@ class Polynomial:
     def gcd(self, other: Polynomial) -> Polynomial:
         """Monic greatest common divisor by Euclid's algorithm (zero if both are zero)."""
         _check_field(self.field, other.field)
-        a, b = self, other
-        while b.coeffs:
-            a, b = b, a.divmod(b)[1]
-        if not a.coeffs:
-            return a
-        lead_inv = self.field.inv(a.coeffs[-1])
-        return Polynomial._from_ints(self.field, [c * lead_inv for c in a.coeffs])
+        return Polynomial._from_ints(self.field, _gcd_coeffs(self.coeffs, other.coeffs, self.field))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at a vector of points (used by the root scan)."""
@@ -254,16 +255,10 @@ class Polynomial:
 
     def divmod_linear(self, lam: int) -> tuple[Polynomial, int]:
         """Synthetic division by (x - lam); returns (quotient, remainder)."""
-        p = self.field.p
         if not self.coeffs:
             return Polynomial.zero(self.field), 0
-        out = [0] * (len(self.coeffs) - 1)
-        acc = 0
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            acc = (acc * lam + self.coeffs[i]) % p
-            out[i - 1] = acc
-        rem = (acc * lam + self.coeffs[0]) % p
-        return Polynomial._from_ints(self.field, out), rem
+        quot, rem = _divmod_linear_coeffs(self.coeffs, lam, self.field.p)
+        return Polynomial._from_ints(self.field, quot), rem
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -323,6 +318,30 @@ def _divmod_coeffs(
     while r and r[-1] == 0:
         r.pop()
     return q, r
+
+
+def _divmod_linear_coeffs(a: Sequence[int], lam: int, p: int) -> tuple[list[int], int]:
+    """Synthetic division of a nonempty coefficient list by (x - lam); returns
+    the quotient and the remainder, reduced mod p."""
+    acc, out = 0, []
+    for c in reversed(a):
+        acc = (acc * lam + c) % p
+        out.append(acc)
+    rem = out.pop()
+    out.reverse()
+    return out, rem
+
+
+def _gcd_coeffs(a: Sequence[int], b: Sequence[int], field: PrimeField) -> list[int]:
+    """Monic gcd of two canonical coefficient lists (reduced mod p, no trailing
+    zeros) by Euclid's algorithm; empty if both are. Neither input is changed."""
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _divmod_coeffs(a, b, field)[1]
+    if a:
+        lead_inv = field.inv(a[-1])
+        a = [c * lead_inv % field.p for c in a]
+    return a
 
 
 # _companion_powers works on a stack of d x d matrices C_f + aI for a monic
@@ -398,6 +417,8 @@ def _rref_array(arr: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[in
         # argmax of a bool array is the index of its first True.
         i = int(np.not_equal(below, 0).argmax())
         if not below[i]:
+            if not a[r:, c:].any():
+                break  # no pivot remains
             continue
         if i:
             a[[r, r + i]] = a[[r + i, r]]

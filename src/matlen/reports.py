@@ -10,10 +10,10 @@ silently reduced.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import Any
 
 from .certificates import (
@@ -53,18 +53,24 @@ def parse_instance(obj: Any) -> GeneratingSet:
     for mi, rows in enumerate(matrices):
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"matrix {mi} must have {n} rows")
-        for ri, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise ParseError(
-                    f"matrix {mi} row {ri} has {len(row) if isinstance(row, list) else 'no'} entries, expected {n}"
-                )
-            for ci, x in enumerate(row):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise ParseError(f"matrix {mi} entry ({ri},{ci}) is not an integer")
-                if not 0 <= x < p:
+        # One check per row (type(x) is int rejects bools); only a matrix that
+        # fails it goes through the entries one by one, to name the first bad one.
+        if not all(
+            type(row) is list and len(row) == n and set(map(type, row)) == {int} and 0 <= min(row) and max(row) < p
+            for row in rows
+        ):
+            for ri, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != n:
                     raise ParseError(
-                        f"matrix {mi} entry ({ri},{ci}) = {x} outside [0, {p})"
+                        f"matrix {mi} row {ri} has {len(row) if isinstance(row, list) else 'no'} entries, expected {n}"
                     )
+                for ci, x in enumerate(row):
+                    if not isinstance(x, int) or isinstance(x, bool):
+                        raise ParseError(f"matrix {mi} entry ({ri},{ci}) is not an integer")
+                    if not 0 <= x < p:
+                        raise ParseError(
+                            f"matrix {mi} entry ({ri},{ci}) = {x} outside [0, {p})"
+                        )
         gens.append(Matrix(field, rows))
     return GeneratingSet(field=field, n=n, gens=tuple(gens))
 
@@ -291,11 +297,12 @@ def make_report(command: str, config: dict, instances: Iterable[dict], summary: 
     }
 
 
-def report_to_csv(report: dict) -> str:
-    """Flat per-instance summary with the spec's column set."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+def csv_lines(report: dict) -> Iterator[str]:
+    """Flat per-instance summary with the spec's column set: the header line,
+    then one line per record, each taken from the report as it is written."""
+    # writerow returns what the file's write returns: here, the line itself.
+    writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+    yield writer.writerow(
         [
             "instance_id",
             "family",
@@ -312,7 +319,7 @@ def report_to_csv(report: dict) -> str:
         ledger = r.get("ledger", [])
         applicable = [e["bound_value"] for e in ledger if e["applicable"]]
         rep = r.get("length_report") or {}
-        writer.writerow(
+        yield writer.writerow(
             [
                 r.get("index", i),
                 r.get("family", ""),
@@ -325,4 +332,8 @@ def report_to_csv(report: dict) -> str:
                 ";".join(v["bound"] for v in r.get("violations", ())),
             ]
         )
-    return buf.getvalue()
+
+
+def report_to_csv(report: dict) -> str:
+    """The lines of `csv_lines` as one string."""
+    return "".join(csv_lines(report))

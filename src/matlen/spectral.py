@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import CharPolyNotSplit, NotSplit
 from .linalg import Matrix, Polynomial, _check_pair, _companion_powers, _rref_array, _stack_ranks
+from .linalg import _canonical_coeffs, _divmod_coeffs, _divmod_linear_coeffs, _gcd_coeffs, _mul_coeffs
 
 
 @dataclass(frozen=True)
@@ -109,34 +110,39 @@ def splitting_roots(poly: Polynomial) -> list[int]:
     p = field.p
     if p == 2:
         raise ValueError("Rabin splitting needs an odd prime")
-    x = Polynomial._from_ints(field, (0, 1))
-    one = Polynomial.one(field)
     half = (p - 1) // 2
     lead_inv = field.inv(poly.coeffs[-1])
     monic = Polynomial._from_ints(field, [c * lead_inv for c in poly.coeffs])
-    chain: list[list[int]] = []  # chain[a]: coefficients of h_a
+    # The steps below work on coefficient lists. chain[a] holds h_a, reduced
+    # mod p, possibly with trailing zeros. _divmod_coeffs overwrites its first
+    # argument: h(a) hands out a copy, and a factor g is divided by d last.
+    chain: list[list[int]] = []
 
-    def h(a: int) -> Polynomial:
+    def h(a: int) -> list[int]:
         while a >= len(chain):
             chain.extend(_companion_powers(monic, len(chain), SHIFT_BATCH, half).tolist())
-        return Polynomial._from_ints(field, chain[a])
+        return list(chain[a])
 
     h0 = h(0)
+    xp = _divmod_coeffs([0, *_mul_coeffs(h0, h0)], monic.coeffs, field)[1] + [0, 0]
+    xp[1] -= 1  # x^p - x mod f
     roots: list[int] = []
-    todo = [(poly.gcd(h0.mul(h0).mul(x).divmod(monic)[1].sub(x)), 0)]
+    todo = [(_gcd_coeffs(monic.coeffs, _canonical_coeffs(xp, p), field), 0)]
     while todo:
         g, a = todo.pop()
-        if g.degree == 1:
-            roots.append(-g.coeffs[0] % p)
+        if len(g) == 2:
+            roots.append(-g[0] % p)
             continue
-        if g.degree < 1:
+        if len(g) < 2:
             continue
         while True:
-            d = g.gcd(h(a).divmod(g)[1].sub(one))
+            r = _divmod_coeffs(h(a), g, field)[1] or [0]
+            r[0] -= 1  # (x+a)^((p-1)/2) - 1 mod g
+            d = _gcd_coeffs(g, _canonical_coeffs(r, p), field)
             a += 1
-            if 0 < d.degree < g.degree:
+            if 1 < len(d) < len(g):
                 break
-        todo += [(d, a), (g.divmod(d)[0], a)]
+        todo += [(d, a), (_divmod_coeffs(g, d, field)[0], a)]
     roots.sort()
     return roots
 
@@ -153,19 +159,19 @@ def split_roots(poly: Polynomial) -> Spectrum:
     p = poly.field.p
     root_vals = scan_roots(poly) if p <= SCAN_MAX_P else splitting_roots(poly)
     roots: list[tuple[int, int]] = []
-    remaining = poly
+    remaining = list(poly.coeffs)
     for lam in root_vals:
         mult = 0
-        while remaining.degree > 0:
-            quot, rem = remaining.divmod_linear(lam)
+        while len(remaining) > 1:
+            quot, rem = _divmod_linear_coeffs(remaining, lam, p)
             if rem != 0:
                 break
             remaining = quot
             mult += 1
         roots.append((int(lam), mult))
-    if remaining.degree != 0:
+    if len(remaining) != 1:
         raise NotSplit(
-            f"minimal polynomial has a degree-{remaining.degree} factor with no roots in F_{p}"
+            f"minimal polynomial has a degree-{len(remaining) - 1} factor with no roots in F_{p}"
         )
     return Spectrum(roots=tuple(roots))
 

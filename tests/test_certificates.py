@@ -29,7 +29,7 @@ from matlen.instances import (
     random_invertible,
 )
 from matlen.length import GeneratingSet, compute_length
-from matlen.linalg import Matrix, Polynomial, PrimeField, _stack_ranks, conjugate, mat_mul, poly_eval, rank
+from matlen.linalg import Matrix, Polynomial, PrimeField, _stack_ranks, conjugate, poly_eval, rank
 from matlen.reports import load_instance
 from matlen.spectral import (
     JordanProfile,
@@ -237,23 +237,30 @@ class TestFindRankReduction:
 
     def test_each_shift_formed_once(self, monkeypatch):
         # Several witnesses share eigenvalues, yet each A - lambda I is formed
-        # at most once per call.
-        calls = []
-        real_sub = Matrix.sub
+        # at most once per call: every product's right factor is one of at
+        # most one array per eigenvalue, and each is a shift of A.
+        import matlen.certificates
 
-        def counting_sub(x, y):
+        calls = []
+        real_mul_mod = matlen.certificates._mul_mod
+
+        def counting_mul_mod(x, y, p):
             calls.append(y)
-            return real_sub(x, y)
+            return real_mul_mod(x, y, p)
 
         a = conjugate(
             random_invertible(8, F101, 5),
             jordan_matrix(F101, JordanSpec(((1, 2), (2, 2), (3, 1), (4, 1), (5, 2)))),
         )
         profile = profile_of(a)
-        monkeypatch.setattr(Matrix, "sub", counting_sub)
+        monkeypatch.setattr(matlen.certificates, "_mul_mod", counting_mul_mod)
         certs = find_rank_reduction(a, profile, 4)
         assert len({c.exponents for c in certs.values()}) > 1
-        assert 0 < len(calls) <= len(profile.blocks)
+        shifts = {id(y): y for y in calls}
+        assert 0 < len(shifts) <= len(profile.blocks)
+        eye = np.eye(8, dtype=np.int64)
+        for y in shifts.values():
+            assert any(np.array_equal(y, (a.entries - lam * eye) % 101) for lam in profile.blocks)
 
     def test_witnesses_built_from_their_own_factors(self, monkeypatch):
         # Each distinct kept witness costs at most deg(v) products, with no
@@ -263,10 +270,11 @@ class TestFindRankReduction:
         import matlen.spectral
 
         calls = []
+        real_mul_mod = matlen.certificates._mul_mod
 
-        def counting_mat_mul(x, y):
+        def counting_mul_mod(x, y, p):
             calls.append((x, y))
-            return mat_mul(x, y)
+            return real_mul_mod(x, y, p)
 
         def no_chain(stack, p):
             raise AssertionError("find_rank_reduction built a chain of powers in spectral")
@@ -276,7 +284,7 @@ class TestFindRankReduction:
             jordan_matrix(F101, JordanSpec(((1, 3), (2, 2), (3, 1), (4, 1), (5, 1)))),
         )
         profile = profile_of(a)
-        monkeypatch.setattr(matlen.certificates, "mat_mul", counting_mat_mul)
+        monkeypatch.setattr(matlen.certificates, "_mul_mod", counting_mul_mod)
         monkeypatch.setattr(matlen.spectral, "_stack_ranks", no_chain)
         certs = find_rank_reduction(a, profile, 4)
         distinct = {c.exponents: c.degree for c in certs.values()}

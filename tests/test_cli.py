@@ -73,6 +73,27 @@ class TestParsing:
         with pytest.raises(ParseError, match="'p'"):
             parse_instance(obj)
 
+    # Each kind of bad entry fails the per-row check, and the per-entry loop
+    # names it.
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, True], "matrix 1 entry (1,1) is not an integer"),
+            ([0, 1.0], "matrix 1 entry (1,1) is not an integer"),
+            ([0, -1], "matrix 1 entry (1,1) = -1 outside [0, 101)"),
+            ([0, 101], "matrix 1 entry (1,1) = 101 outside [0, 101)"),
+            ([0], "matrix 1 row 1 has 1 entries, expected 2"),
+            ((0, 0), "matrix 1 row 1 has no entries, expected 2"),
+        ],
+        ids=["bool", "float", "negative", "p", "short-row", "tuple-row"],
+    )
+    def test_bad_entry_named(self, row, message):
+        obj = units_instance()
+        obj["matrices"][1][1] = row
+        with pytest.raises(ParseError) as info:
+            parse_instance(obj)
+        assert str(info.value) == message
+
 
 # Each error's exit code and stderr label, as `main` mapped them when it
 # listed the unsupported types by hand; `Unsupported` is their common base.
@@ -725,6 +746,27 @@ class TestFuzzWorkers:
         assert b'"index": 3' in serial[1]
         for partial in (serial[1], pooled[1]):
             assert full.startswith(partial) and b'"summary"' not in partial
+
+    def test_csv_error_mid_stream_matches_serial(self, monkeypatch, capsys, tmp_path):
+        # The CSV goes out a line per record: when instance 5 fails, either
+        # path leaves the header and the lines of records 0-4 behind.
+        args = ["--family", "RANDOM", "--n", "4", "--count", "8", "--seed", "6", "--format", "csv"]
+        full = self.run(monkeypatch, capsys, tmp_path, args, 1)[1]
+        real = matlen.cli._fuzz_one
+
+        @functools.wraps(real)  # a pool mapping it would pickle it by name, as matlen.cli._fuzz_one
+        def fuzz_one(task):
+            if task[-1] == 5:
+                raise MatlenError(f"synthetic failure at instance {task[-1]}")
+            return real(task)
+
+        monkeypatch.setattr(matlen.cli, "_fuzz_one", fuzz_one)
+        serial = self.run(monkeypatch, capsys, tmp_path, args, 1)
+        pooled = self.run(monkeypatch, capsys, tmp_path, args, 2)
+        assert serial[0] == 2 and serial[2] == "error: synthetic failure at instance 5\n"
+        assert pooled == serial
+        assert full.count(b"\n") == 9
+        assert serial[1] == b"".join(full.splitlines(keepends=True)[:6])
 
     def test_one_worker_per_chunk(self):
         if hasattr(os, "sched_getaffinity"):

@@ -28,6 +28,7 @@ from matlen.linalg import (
     PrimeField,
     SpanBasis,
     _companion_powers,
+    _is_prime,
     _reduce,
     _rref_array,
     _stack_ranks,
@@ -90,6 +91,16 @@ class TestPrimeField:
         assert p > MAX_MODULUS
         with pytest.raises(ModulusTooLarge):
             PrimeField(p)
+
+    def test_is_prime_matches_a_sieve_up_to_the_cap(self):
+        # Every k up to just past the cap, against the sieve of Eratosthenes.
+        bound = MAX_MODULUS + 65
+        sieve = np.ones(bound, dtype=bool)
+        sieve[:2] = False
+        for k in range(2, int(bound**0.5) + 1):
+            if sieve[k]:
+                sieve[k * k :: k] = False
+        assert [k for k in range(bound) if _is_prime(k)] == np.flatnonzero(sieve).tolist()
 
     def test_inverse_roundtrip(self):
         for a in range(1, 7):

@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from matlen.errors import NotSplit  # noqa: E402
 from matlen.instances import jordan_matrix, random_invertible, random_jordan_spec  # noqa: E402
-from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, rank, rref  # noqa: E402
+from matlen.linalg import Matrix, PrimeField, SpanBasis, _gcd_coeffs, conjugate, rank, rref  # noqa: E402
 from matlen.spectral import minimal_polynomial, split_roots  # noqa: E402
 from reference import KRYLOV_KINDS, krylov_minimal_polynomial, krylov_test_matrix  # noqa: E402
 
@@ -67,6 +67,32 @@ def test_rref(p, seed, n, r):
     expected, expected_pivots = DomainMatrix.from_list(a.tolist(), sympy.GF(p)).rref()
     assert reduced.entries.tolist() == [[int(e) % p for e in row] for row in expected.to_list()]
     assert tuple(pivots) == tuple(expected_pivots)
+
+
+def sympy_poly(coeffs: list[int], p: int):
+    """The polynomial over GF(p) with ascending coefficients coeffs (zero if empty)."""
+    return sympy.Poly(list(reversed(coeffs)) or [0], X, modulus=p)
+
+
+def ascending_residues(poly, p: int) -> list[int]:
+    """A sympy polynomial's ascending coefficients in [0, p), trailing zeros stripped."""
+    cs = [int(c) % p for c in reversed(poly.all_coeffs())]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 101, 1048573]), data=st.data())
+def test_gcd_coeffs(p, data):
+    # a = c * u and b = c * v, multiplied in sympy, so that most gcds are
+    # nontrivial; an empty list is the zero polynomial.
+    coeffs = st.lists(st.integers(0, p - 1), max_size=6)
+    c, u, v = (sympy_poly(data.draw(coeffs), p) for _ in range(3))
+    a, b = ascending_residues(c * u, p), ascending_residues(c * v, p)
+    a_in, b_in = list(a), list(b)
+    assert _gcd_coeffs(a, b, PrimeField(p)) == ascending_residues((c * u).gcd(c * v), p)
+    assert (a, b) == (a_in, b_in)
 
 
 def spectral_test_matrix(rng, field: PrimeField, n: int, kind: str) -> Matrix:
