@@ -12,12 +12,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-import numpy as np
-
 from . import spectral
 from .errors import CertificateMismatch, InvalidK, NotSplit
 from .length import GeneratingSet
-from .linalg import Matrix, rank
+from .linalg import Matrix, _eval_rows, rank
 from .spectral import (
     JordanProfile,
     Spectrum,
@@ -59,12 +57,6 @@ class BoundLedger:
         return tuple(e for e in self.entries if e.applicable)
 
 
-def _mul_mod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """x @ y mod p for n x n arrays of residues. Each entry sums n products
-    below p^2 <= 2^40, so the int64 product is exact for every n < 2^23."""
-    return (x @ y) % p
-
-
 def find_rank_reduction(
     a: Matrix, profile: JordanProfile, r_max: int
 ) -> dict[int, RankCertificate]:
@@ -81,14 +73,16 @@ def find_rank_reduction(
     Maps each budget r to the least vector by (total degree, exponents under
     ascending eigenvalue order) among those of rank 1..r, keys ascending; a
     budget with no certificate is left out. Only the distinct kept vectors
-    are evaluated, each in deg(v) - 1 int64 products of its factors, with
-    each A - lambda I formed once as an array; each witness's rank is checked
-    against the profile's: CertificateMismatch if they differ.
+    are evaluated, as polynomials in one `_eval_rows` product, and each
+    witness's rank is checked against the profile's: CertificateMismatch if
+    they differ, or before any product if the tops e_lambda sum past n.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
     eigenvalues = sorted(profile.blocks)
     tops = [profile.blocks[lam][0] for lam in eigenvalues]
+    if sum(tops) > a.n:
+        raise CertificateMismatch(f"largest blocks {tops} sum past the order {a.n}")
     # Per eigenvalue: each exponent below the top, with its rank contribution.
     options = []
     for lam, top in zip(eigenvalues, tops):
@@ -111,14 +105,17 @@ def find_rank_reduction(
                     if best[b] is None or candidate < best[b]:
                         best[b] = candidate
     p = a.field.p
-    eye = np.eye(a.n, dtype=np.int64)
-    shifts = [(a.entries - lam * eye) % p for lam in eigenvalues]
-    certs: dict[tuple[tuple[int, tuple[int, ...]], int], RankCertificate] = {}
+    rows = {}
     for (degree, v), r in dict.fromkeys(filter(None, best)):  # distinct picks, in budget order
-        factors = [shift for shift, exp in zip(shifts, v) for _ in range(exp)]
-        entries = factors[0]  # v is not all zero
-        for shift in factors[1:]:
-            entries = _mul_mod(entries, shift, p)
+        row = [1] + [0] * a.n
+        for lam, exp in zip(eigenvalues, v):
+            for _ in range(exp):
+                row = [(hi - lam * lo) % p for hi, lo in zip([0, *row], row)]  # times x - lambda
+        rows[(degree, v), r] = row
+    if not rows:
+        return {}
+    certs: dict[tuple[tuple[int, tuple[int, ...]], int], RankCertificate] = {}
+    for ((degree, v), r), entries in zip(rows, _eval_rows(a, list(rows.values()))):
         witness = Matrix(a.field, entries)
         got = rank(witness)
         if got != r:

@@ -117,7 +117,7 @@ class PrimeField:
 class Matrix:
     """Immutable square matrix over a PrimeField."""
 
-    __slots__ = ("field", "n", "entries")
+    __slots__ = ("field", "n", "entries", "_powers")
 
     def __init__(self, field: PrimeField, entries):
         arr = np.asarray(entries)
@@ -130,6 +130,7 @@ class Matrix:
         self.field = field
         self.n = int(arr.shape[0])
         self.entries = arr
+        self._powers = None
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> Matrix:
@@ -145,6 +146,18 @@ class Matrix:
         arr = np.zeros((n, n), dtype=np.int64)
         arr[i, j] = 1
         return cls(field, arr)
+
+    def powers(self) -> np.ndarray:
+        """A^0, ..., A^n, a read-only (n + 1, n, n) int64 stack formed on first use and stored
+        once complete; ==, hash, repr and pickle ignore it. Each product sums n terms below 2^40."""
+        if self._powers is None:
+            stack = np.empty((self.n + 1, self.n, self.n), dtype=np.int64)
+            stack[0] = np.eye(self.n, dtype=np.int64)
+            for i in range(self.n):
+                stack[i + 1] = (self.entries @ stack[i]) % self.field.p
+            stack.flags.writeable = False
+            self._powers = stack
+        return self._powers
 
     def vec(self) -> np.ndarray:
         """Row-major flattening into F_p^{n^2} (read-only view)."""
@@ -174,6 +187,9 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix(F_{self.field.p}, {self.entries.tolist()})"
+
+    def __reduce__(self):
+        return Matrix, (self.field, self.entries)
 
 
 class Polynomial:
@@ -246,7 +262,7 @@ class Polynomial:
         return Polynomial._from_ints(self.field, _gcd_coeffs(self.coeffs, other.coeffs, self.field))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        """Horner evaluation at a vector of points (used by the root scan)."""
+        """Horner evaluation at residues (the root scan); acc * x + c < (p-1)^2 + p: exact in int64."""
         p = self.field.p
         acc = np.zeros_like(xs)
         for c in reversed(self.coeffs):
@@ -494,7 +510,8 @@ def conjugate(p: Matrix, a: Matrix) -> Matrix:
 
 
 def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
-    """Horner evaluation q(A); the constant term multiplies the identity."""
+    """Horner evaluation q(A), the reference for `_eval_rows`; the constant term multiplies
+    the identity. Each product sums n terms below (p-1)^2, plus a residue: exact in int64."""
     field = a.field
     _check_field(q.field, field)
     acc = np.zeros((a.n, a.n), dtype=np.int64)
@@ -505,6 +522,11 @@ def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
     return Matrix(field, acc)
 
 
+def _eval_rows(a: Matrix, rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """q(A) for each row q of n + 1 ascending residues, as a (len(rows), n, n) stack: one
+    product with `a.powers()`, each entry summing n + 1 terms below 2^40, exact in int64."""
+    coeffs = np.array(rows, dtype=np.int64).reshape(-1, a.n + 1)
+    return ((coeffs @ a.powers().reshape(a.n + 1, -1)) % a.field.p).reshape(-1, a.n, a.n)
 
 
 # SpanBasis stores a basis of dimension d as R, its d x (ambient_dim - d)

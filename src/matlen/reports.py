@@ -332,8 +332,3 @@ def csv_lines(report: dict) -> Iterator[str]:
                 ";".join(v["bound"] for v in r.get("violations", ())),
             ]
         )
-
-
-def report_to_csv(report: dict) -> str:
-    """The lines of `csv_lines` as one string."""
-    return "".join(csv_lines(report))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharPolyNotSplit, NotSplit
-from .linalg import Matrix, Polynomial, _check_pair, _companion_powers, _rref_array, _stack_ranks
+from .linalg import Matrix, Polynomial, _check_pair, _companion_powers, _eval_rows, _rref_array, _stack_ranks
 from .linalg import _canonical_coeffs, _divmod_coeffs, _divmod_linear_coeffs, _gcd_coeffs, _mul_coeffs
 
 
@@ -40,18 +40,13 @@ class JordanProfile:
 def minimal_polynomial(a: Matrix) -> Polynomial:
     """Monic minimal polynomial via the first Krylov dependence.
 
-    One Gauss-Jordan pass over the columns vec(I), vec(A), ..., vec(A^n).
+    One Gauss-Jordan pass over the columns vec(I), vec(A), ..., vec(A^n) of `a.powers()`.
     Once A^d depends on I, ..., A^(d-1), so does every higher power, so the
     pivots are 0..d-1 with d the degree, and column d of the RREF holds the
     coordinates of A^d over I, ..., A^(d-1).
     """
-    field, n, p = a.field, a.n, a.field.p
-    # Each product sums n terms below p^2 < 2^40: exact in int64.
-    powers = np.empty((n + 1, n, n), dtype=np.int64)
-    powers[0] = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        powers[i + 1] = (a.entries @ powers[i]) % p
-    reduced, pivots = _rref_array(powers.reshape(n + 1, n * n).T, field)
+    field, n = a.field, a.n
+    reduced, pivots = _rref_array(a.powers().reshape(n + 1, n * n).T, field)
     d = len(pivots)
     if d > n or pivots != list(range(d)):
         raise RuntimeError(f"Krylov pivots {pivots} of an order-{n} matrix are not a proper prefix")
@@ -181,31 +176,32 @@ def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]
 
     For each eigenvalue, r_{j-1} - 2 r_j + r_{j+1} blocks have size exactly j,
     with r_j = rank (A-lambda I)^j, r_0 = n and r_{e+1} = r_e for e = e_lambda;
-    read from j = e down, the sizes come out descending. Every power for
-    j = 1..e_lambda, of every eigenvalue of every matrix, is formed first
-    (int64 products of residues, each summing n terms below 2^40), and
-    `_stack_ranks` ranks them all at once; an empty list makes no call.
-    Raises DimensionMismatch or FieldMismatch for matrices of different
-    orders or fields, and CharPolyNotSplit for the first matrix whose
-    blocks do not cover its order, which a spectrum from `split_roots` of
-    its own minimal polynomial never leaves.
+    read from j = e down, the sizes come out descending. Each matrix's powers
+    (x - lambda)^j, j = 1..e_lambda, of all its eigenvalues come from one
+    `_eval_rows` product, and `_stack_ranks` ranks them all at once; an empty
+    list makes no call. Raises DimensionMismatch or FieldMismatch for matrices
+    of different orders or fields, and CharPolyNotSplit for the first matrix
+    whose blocks do not cover its order (before its product if its
+    multiplicities sum past n), which no spectrum from `split_roots` of its
+    own minimal polynomial leaves.
     """
     if not pairs:
         return []
     first = pairs[0][0]
-    for a, _ in pairs[1:]:
-        _check_pair(first, a)
     n, p = first.n, first.field.p
-    eye = np.eye(n, dtype=np.int64)
-    powers: list[np.ndarray] = []
+    stacks = []
     for a, spec in pairs:
+        _check_pair(first, a)
+        if sum(e for _, e in spec.roots) > n:
+            raise CharPolyNotSplit(f"multiplicities {spec.roots} sum past the order {n}")
+        rows = []
         for lam, e_lam in spec.roots:
-            shifted = (a.entries - lam * eye) % p
-            power = eye
+            row = [1] + [0] * n
             for _ in range(e_lam):
-                power = (power @ shifted) % p
-                powers.append(power)
-    all_ranks = _stack_ranks(np.array(powers, dtype=np.int64).reshape(-1, n, n), p).tolist()
+                row = [(hi - lam * lo) % p for hi, lo in zip([0, *row], row)]  # times x - lambda
+                rows.append(row)
+        stacks.append(_eval_rows(a, rows))
+    all_ranks = _stack_ranks(np.concatenate(stacks), p).tolist()
     profiles: list[JordanProfile] = []
     start = 0
     for _, spec in pairs:

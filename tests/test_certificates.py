@@ -19,7 +19,7 @@ from matlen.certificates import (
     t12_hypothesis,
     thm38_hypothesis,
 )
-from matlen.errors import CertificateMismatch, GenerationRetriesExhausted, InvalidK, NotSplit
+from matlen.errors import CertificateMismatch, CharPolyNotSplit, GenerationRetriesExhausted, InvalidK, NotSplit
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
@@ -29,10 +29,11 @@ from matlen.instances import (
     random_invertible,
 )
 from matlen.length import GeneratingSet, compute_length
-from matlen.linalg import Matrix, Polynomial, PrimeField, _stack_ranks, conjugate, poly_eval, rank
+from matlen.linalg import Matrix, Polynomial, PrimeField, _eval_rows, _stack_ranks, conjugate, poly_eval, rank
 from matlen.reports import load_instance
 from matlen.spectral import (
     JordanProfile,
+    Spectrum,
     jordan_profile,
     minimal_polynomial,
     split_roots,
@@ -235,61 +236,24 @@ class TestFindRankReduction:
         assert list(certs) == [1, 2, 3, 4]
         assert len(calls) == len({c.exponents for c in certs.values()})
 
-    def test_each_shift_formed_once(self, monkeypatch):
-        # Several witnesses share eigenvalues, yet each A - lambda I is formed
-        # at most once per call: every product's right factor is one of at
-        # most one array per eigenvalue, and each is a shift of A.
-        import matlen.certificates
-
-        calls = []
-        real_mul_mod = matlen.certificates._mul_mod
-
-        def counting_mul_mod(x, y, p):
-            calls.append(y)
-            return real_mul_mod(x, y, p)
-
-        a = conjugate(
-            random_invertible(8, F101, 5),
-            jordan_matrix(F101, JordanSpec(((1, 2), (2, 2), (3, 1), (4, 1), (5, 2)))),
-        )
-        profile = profile_of(a)
-        monkeypatch.setattr(matlen.certificates, "_mul_mod", counting_mul_mod)
-        certs = find_rank_reduction(a, profile, 4)
-        assert len({c.exponents for c in certs.values()}) > 1
-        shifts = {id(y): y for y in calls}
-        assert 0 < len(shifts) <= len(profile.blocks)
-        eye = np.eye(8, dtype=np.int64)
-        for y in shifts.values():
-            assert any(np.array_equal(y, (a.entries - lam * eye) % 101) for lam in profile.blocks)
-
-    def test_witnesses_built_from_their_own_factors(self, monkeypatch):
-        # Each distinct kept witness costs at most deg(v) products, with no
-        # chain of powers built first, in this module or in spectral (whose
-        # only chain, jordan_profiles', ends in _stack_ranks).
+    def test_exponents_past_n_raise_before_any_product(self, monkeypatch):
+        # No 4 x 4 matrix has a minimal polynomial of degree 5, nor largest
+        # Jordan blocks summing to 5: both are refused before A^0..A^n or
+        # any evaluation is formed.
         import matlen.certificates
         import matlen.spectral
 
-        calls = []
-        real_mul_mod = matlen.certificates._mul_mod
+        def no_product(*args):
+            raise AssertionError("a product was formed")
 
-        def counting_mul_mod(x, y, p):
-            calls.append((x, y))
-            return real_mul_mod(x, y, p)
-
-        def no_chain(stack, p):
-            raise AssertionError("find_rank_reduction built a chain of powers in spectral")
-
-        a = conjugate(
-            random_invertible(8, F101, 5),
-            jordan_matrix(F101, JordanSpec(((1, 3), (2, 2), (3, 1), (4, 1), (5, 1)))),
-        )
-        profile = profile_of(a)
-        monkeypatch.setattr(matlen.certificates, "_mul_mod", counting_mul_mod)
-        monkeypatch.setattr(matlen.spectral, "_stack_ranks", no_chain)
-        certs = find_rank_reduction(a, profile, 4)
-        distinct = {c.exponents: c.degree for c in certs.values()}
-        assert len(distinct) > 1
-        assert 0 < len(calls) <= sum(distinct.values())
+        a = jordan_matrix(F101, JordanSpec(((1, 3), (2, 1))))
+        monkeypatch.setattr(Matrix, "powers", no_product)
+        monkeypatch.setattr(matlen.spectral, "_eval_rows", no_product)
+        monkeypatch.setattr(matlen.certificates, "_eval_rows", no_product)
+        with pytest.raises(CharPolyNotSplit):
+            jordan_profile(a, Spectrum(((1, 3), (2, 2))))
+        with pytest.raises(CertificateMismatch):
+            find_rank_reduction(a, JordanProfile({1: (3,), 2: (2,)}), 2)
 
     def test_many_eigenvalues_in_polynomial_time(self):
         # 40 distinct eigenvalues: 2^40 exponent vectors, but at most two may
@@ -530,6 +494,45 @@ class TestBatchedJordanRanks:
                     assert a.certificates == find_rank_reduction(g, profile, 2)
                 seen["split" if profile is not None else "nonsplit"] += 1
         assert seen["split"] > 0 and seen["nonsplit"] > 0
+
+    def test_one_stack_and_one_product_per_matrix_per_stage(self, monkeypatch):
+        # Each generator's A^0..A^n is formed once per analyze_generators
+        # call; jordan_profiles evaluates each split generator's powers, and
+        # find_rank_reduction its witnesses (if it keeps any), in one product
+        # with that stack.
+        import matlen.certificates
+        import matlen.spectral
+
+        fills, evals = [], {"spectral": [], "certificates": []}
+        real_powers = Matrix.powers
+
+        def counting_powers(a):
+            if a._powers is None:
+                fills.append(id(a))
+            return real_powers(a)
+
+        def spy(module):
+            def counting(a, rows):
+                evals[module].append(id(a))
+                return _eval_rows(a, rows)
+
+            return counting
+
+        monkeypatch.setattr(Matrix, "powers", counting_powers)
+        for module in evals:
+            monkeypatch.setattr(getattr(matlen, module), "_eval_rows", spy(module))
+        seen = 0
+        for gs in self.mixed_sets():
+            fills.clear()
+            evals["spectral"].clear()
+            evals["certificates"].clear()
+            analyses = analyze_generators(gs)
+            split = [id(gs.gens[a.index]) for a in analyses if a.profile is not None]
+            kept = [id(gs.gens[a.index]) for a in analyses if a.certificates]
+            assert fills == [id(g) for g in gs.gens]
+            assert evals == {"spectral": split, "certificates": kept}
+            seen += len(kept)
+        assert seen > 0
 
     def test_nonsplit_generators_leave_the_others_unchanged(self):
         checked = 0

@@ -28,7 +28,7 @@ from matlen.errors import (
     ParseError,
 )
 from matlen.length import LengthReport
-from matlen.reports import collect_violations, parse_instance, report_to_csv
+from matlen.reports import collect_violations, csv_lines, parse_instance
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -841,5 +841,5 @@ class TestCsvHelper:
                 }
             ]
         }
-        lines = report_to_csv(report).splitlines()
+        lines = "".join(csv_lines(report)).splitlines()
         assert lines[1] == "0,RANDOM,2,101,7,2,3,2,paz_general"

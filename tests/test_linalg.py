@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import pickle
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,7 @@ from matlen.linalg import (
     PrimeField,
     SpanBasis,
     _companion_powers,
+    _eval_rows,
     _is_prime,
     _reduce,
     _rref_array,
@@ -544,6 +548,85 @@ class TestPolyEval:
         a = random_matrix(F101, 3, rng)
         q, r = Polynomial(F101, qc), Polynomial(F101, rc)
         assert poly_eval(q.mul(r), a) == mat_mul(poly_eval(q, a), poly_eval(r, a))
+
+
+class TestPowersStack:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 101, 65521, 1048573]),
+        n=st.integers(1, 12),
+        data=st.data(),
+    )
+    @example(p=1048573, n=12, data=None)
+    def test_eval_rows_matches_horner(self, p, n, data):
+        # Every row, of degree up to n, evaluated in one product with the
+        # cached stack equals poly_eval's Horner; None is the all-(p - 1) case.
+        field = PrimeField(p)
+        if data is None:
+            a, rows = Matrix(field, np.full((n, n), p - 1)), [[p - 1] * (n + 1)] * 3
+        else:
+            entries = st.integers(0, p - 1)
+            a = Matrix(field, data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+            rows = data.draw(st.lists(st.lists(entries, min_size=n + 1, max_size=n + 1), max_size=4))
+        got = _eval_rows(a, rows)
+        assert got.shape == (len(rows), n, n)
+        for row, q_of_a in zip(rows, got):
+            assert Matrix(field, q_of_a) == poly_eval(Polynomial(field, row), a)
+
+    def test_stack_is_the_powers_and_read_only(self):
+        a = random_matrix(F101, 5, np.random.default_rng(3))
+        stack = a.powers()
+        assert a.powers() is stack
+        assert stack.shape == (6, 5, 5) and stack.dtype == np.int64
+        power = Matrix.identity(F101, 5)
+        for k in range(6):
+            assert Matrix(F101, stack[k]) == power
+            power = mat_mul(power, a)
+        with pytest.raises(ValueError):
+            stack[1, 0, 0] = 0
+
+    def test_racing_fills_return_complete_stacks(self):
+        # Threads that fill one matrix's stack at once each return a whole
+        # stack, equal to the reference: a stack is stored only once complete.
+        rng = np.random.default_rng(5)
+        mats = [random_matrix(F101, 12, rng) for _ in range(200)]
+        expected = [Matrix(F101, m.entries).powers() for m in mats]
+        barrier, results = threading.Barrier(8), []
+
+        def fill():
+            barrier.wait(timeout=10)
+            # Copied at once: a stack stored before it is complete is filled in later.
+            results.append([(m.powers().copy(), m.powers().flags.writeable) for m in mats])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=fill) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        for stacks in results:
+            for (got, writeable), want in zip(stacks, expected):
+                assert np.array_equal(got, want) and not writeable
+
+    def test_filled_stack_is_invisible(self):
+        # ==, hash, repr and a pickle round trip see the entries only.
+        rng = np.random.default_rng(4)
+        a = random_matrix(F101, 4, rng)
+        filled = Matrix(F101, a.entries)
+        filled.powers()
+        assert filled == a and a == filled
+        assert hash(filled) == hash(a)
+        assert repr(filled) == repr(a)
+        back = pickle.loads(pickle.dumps(filled))
+        assert back == a and hash(back) == hash(a) and repr(back) == repr(a)
+        assert back._powers is None and not back.entries.flags.writeable
+        assert len(pickle.dumps(filled)) == len(pickle.dumps(a))
+        assert np.array_equal(back.powers(), filled.powers())
 
 
 class TestSpanBasis:
