@@ -103,9 +103,12 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     basis.insert(identity.vec())
     dims = [basis.dim()]
     # A candidate entry sums n products of residues, within the basis's
-    # exactness bound, so words are kept in the basis dtype.
+    # exactness bound. Kept words are residues, stored in the smallest
+    # unsigned dtype that holds p - 1 and cast to the basis dtype one block
+    # at a time; both casts are exact.
     gens = [g.entries.astype(basis.dtype) for g in s.gens]
-    frontier = identity.entries.astype(basis.dtype)[np.newaxis]
+    word = np.min_scalar_type(field.p - 1)
+    frontier = identity.entries.astype(word)[np.newaxis]
     while dims[-1] < full:
         if len(dims) - 1 >= cap:
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
@@ -118,11 +121,11 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
                 break
             stop = min(start + BLOCK_ROWS, rows)
             parts = [
-                gens[i] @ frontier[max(start - i * f, 0) : stop - i * f]
+                gens[i] @ frontier[max(start - i * f, 0) : stop - i * f].astype(basis.dtype)
                 for i in range(start // f, (stop - 1) // f + 1)
             ]
             block = _reduce(parts[0] if len(parts) == 1 else np.concatenate(parts), field.p)
-            grown.append(block[basis._insert_block(block.reshape(len(block), full))])
+            grown.append(block[basis._insert_block(block.reshape(len(block), full))].astype(word))
         dims.append(basis.dim())
         frontier = np.concatenate(grown)
         if not len(frontier):

@@ -182,8 +182,8 @@ def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]
     list makes no call. Raises DimensionMismatch or FieldMismatch for matrices
     of different orders or fields, and CharPolyNotSplit for the first matrix
     whose blocks do not cover its order (before its product if its
-    multiplicities sum past n), which no spectrum from `split_roots` of its
-    own minimal polynomial leaves.
+    multiplicities sum past n) or whose spectrum names a non-eigenvalue,
+    which no spectrum from `split_roots` of its own minimal polynomial leaves.
     """
     if not pairs:
         return []
@@ -210,6 +210,8 @@ def jordan_profiles(pairs: list[tuple[Matrix, Spectrum]]) -> list[JordanProfile]
             r = [n, *all_ranks[start : start + e_lam]]
             start += e_lam
             r.append(r[-1])
+            if r[1] == n:
+                raise CharPolyNotSplit(f"{lam} is not an eigenvalue: A - {lam}I has full rank {n}")
             blocks[lam] = tuple(j for j in range(e_lam, 0, -1) for _ in range(r[j - 1] - 2 * r[j] + r[j + 1]))
         total = sum(map(sum, blocks.values()))
         if total != n:

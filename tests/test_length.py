@@ -178,7 +178,9 @@ class TestBlockedEngine:
                 assert compute_length(gs) == sequential_length(gs)
         assert calls and all(calls)
 
-    @pytest.mark.parametrize("p", [101, 1048573])
+    # Kept words are stored in uint8 up to p = 251, uint16 up to p = 65521
+    # and uint32 above: each pair of primes straddles one boundary.
+    @pytest.mark.parametrize("p", [101, 251, 257, 65521, 65537, 1048573])
     def test_random_pair_at_24_equals_sequential_frontier_loop(self, p):
         # Beyond the sweep's n <= 12: many blocks per level, and a basis R of
         # up to 288 x 288 entries, against the reference that stores every row.
@@ -187,6 +189,14 @@ class TestBlockedEngine:
         gs = GeneratingSet.of([Matrix(field, rng.integers(0, p, size=(24, 24))) for _ in range(2)])
         rep = compute_length(gs)
         assert rep.is_generating and rep == sequential_length(gs)
+        # A random pair generates whatever its kept words are, so a word
+        # stored wrongly would not show there. The powers of one matrix stop
+        # growing at the degree of its minimal polynomial only if each is
+        # kept exactly, and A itself, a kept word, holds the entry p - 1.
+        a = gs.gens[0].entries.copy()
+        a[0, 0] = p - 1
+        lone = GeneratingSet.of([Matrix(field, a)])
+        assert compute_length(lone) == sequential_length(lone)
 
     @pytest.mark.parametrize(
         "p, n, forced",

@@ -6,6 +6,7 @@ import pickle
 import sys
 import threading
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from matlen.errors import (
 from matlen.instances import random_invertible
 from matlen.linalg import (
     MAX_MODULUS,
+    REDUCE_CHUNK,
     REDUCE_SMALL,
     Matrix,
     Polynomial,
@@ -738,11 +740,14 @@ class TestSpanBasis:
     @settings(max_examples=80, deadline=None)
     # Blocks longer than the free column count, once with the span filling
     # on the way.
-    @example(p=101, ambient=6, seed=0, preloaded=4, size=40, cuts=[])
-    @example(p=2, ambient=3, seed=1, preloaded=0, size=150, cuts=[75])
+    @example(p=101, ambient=6, seed=0, preloaded=4, size=40, cuts=[], chunk=REDUCE_CHUNK)
+    @example(p=2, ambient=3, seed=1, preloaded=0, size=150, cuts=[75], chunk=REDUCE_CHUNK)
     # Residue rows longer than REDUCE_SMALL, shrinking past it as the span grows.
-    @example(p=2, ambient=300, seed=2, preloaded=20, size=150, cuts=[40])
-    @example(p=1048573, ambient=300, seed=3, preloaded=0, size=150, cuts=[])
+    @example(p=2, ambient=300, seed=2, preloaded=20, size=150, cuts=[40], chunk=REDUCE_CHUNK)
+    @example(p=1048573, ambient=300, seed=3, preloaded=0, size=150, cuts=[], chunk=REDUCE_CHUNK)
+    # The same with the merge and _reduce in slices of one or a few rows.
+    @example(p=101, ambient=300, seed=2, preloaded=20, size=150, cuts=[40], chunk=1)
+    @example(p=1048573, ambient=300, seed=3, preloaded=0, size=150, cuts=[], chunk=5)
     @given(
         p=st.sampled_from([2, 101, 1048573]),
         ambient=st.integers(1, 24),
@@ -750,8 +755,9 @@ class TestSpanBasis:
         preloaded=st.integers(0, 24),
         size=st.integers(0, 150),
         cuts=st.lists(st.integers(0, 150), max_size=3),
+        chunk=st.sampled_from([REDUCE_CHUNK, 1, 5]),
     )
-    def test_insert_rows_matches_sequential_insert(self, p, ambient, seed, preloaded, size, cuts):
+    def test_insert_rows_matches_sequential_insert(self, p, ambient, seed, preloaded, size, cuts, chunk):
         """insert_rows keeps exactly the rows, and leaves exactly the basis, of one reference insert per row."""
         field = PrimeField(p)
         rng = np.random.default_rng(seed)
@@ -775,12 +781,13 @@ class TestSpanBasis:
         block += p * rng.integers(-(2**62 // p), 2**62 // p, size=block.shape) * (rng.random(block.shape) < 1 / 3)
 
         blocked, sequential = SpanBasis(field, ambient), FullRowBasis(field, ambient)
-        for v in rng.integers(0, p, size=(preloaded, ambient)):
-            assert blocked.insert(v) == sequential.insert(v)
         accepted = []
         bounds = [0] + sorted(min(c, size) for c in cuts) + [size]
-        for lo, hi in zip(bounds, bounds[1:]):
-            accepted += [lo + i for i in blocked.insert_rows(block[lo:hi])]
+        with mock.patch.object(matlen.linalg, "REDUCE_CHUNK", chunk):
+            for v in rng.integers(0, p, size=(preloaded, ambient)):
+                assert blocked.insert(v) == sequential.insert(v)
+            for lo, hi in zip(bounds, bounds[1:]):
+                accepted += [lo + i for i in blocked.insert_rows(block[lo:hi])]
         # The reference sees the reduced rows, so an inexact reduction of the
         # unreduced ones shows.
         assert accepted == [i for i, v in enumerate(block % p) if sequential.insert(v)]
@@ -791,12 +798,15 @@ class TestSpanBasis:
 
     @settings(max_examples=60, deadline=None)
     # Residue rows longer than REDUCE_SMALL, shrinking past it as the span grows.
-    @example(p=2, ambient=300, seed=4, ops=[12] * 12)
-    @example(p=1048573, ambient=300, seed=5, ops=[1, 12, 0, 12, 12, 1] * 2)
+    @example(p=2, ambient=300, seed=4, ops=[12] * 12, chunk=REDUCE_CHUNK)
+    @example(p=1048573, ambient=300, seed=5, ops=[1, 12, 0, 12, 12, 1] * 2, chunk=REDUCE_CHUNK)
     # The last float32 ambient dimension at p = 1021, where sums come within
     # p of 2^24, and the first float64 one.
-    @example(p=1021, ambient=16, seed=6, ops=[12, 1, 12, 12])
-    @example(p=1021, ambient=17, seed=7, ops=[12, 1, 12, 12])
+    @example(p=1021, ambient=16, seed=6, ops=[12, 1, 12, 12], chunk=REDUCE_CHUNK)
+    @example(p=1021, ambient=17, seed=7, ops=[12, 1, 12, 12], chunk=REDUCE_CHUNK)
+    # The merge and _reduce in slices of one or a few rows.
+    @example(p=2, ambient=300, seed=4, ops=[12] * 12, chunk=1)
+    @example(p=1048573, ambient=300, seed=5, ops=[1, 12, 0, 12, 12, 1] * 2, chunk=5)
     @given(
         # 2 and 101 are float32 at every drawn ambient dimension, 1048573 is
         # float64 at all of them, and 1021 switches from one to the other
@@ -805,35 +815,37 @@ class TestSpanBasis:
         ambient=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(st.integers(0, 12), min_size=1, max_size=12),
+        chunk=st.sampled_from([REDUCE_CHUNK, 1, 5]),
     )
-    def test_mixed_inserts_match_reference(self, p, ambient, seed, ops):
+    def test_mixed_inserts_match_reference(self, p, ambient, seed, ops, chunk):
         """After every insert or insert_rows, the basis is the reference's and stores d x (N - d) entries."""
         field = PrimeField(p)
         rng = np.random.default_rng(seed)
         subspace = rng.integers(0, p, size=(max(1, ambient // 3), ambient))
         basis, reference = SpanBasis(field, ambient), FullRowBasis(field, ambient)
         assert basis.dtype == (np.float32 if ambient * (p - 1) ** 2 + p <= 2**24 else np.float64)
-        for size in ops:
-            # Half the rows from a fixed subspace, so that many are rejected.
-            block = np.where(
-                rng.random((size, 1)) < 0.5,
-                rng.integers(0, p, size=(size, len(subspace))) @ subspace % p,
-                rng.integers(0, p, size=(size, ambient)),
-            )
-            if size == 1 and rng.random() < 0.5:
-                assert basis.insert(block[0]) == reference.insert(block[0])
-            else:
-                assert basis.insert_rows(block) == [i for i, v in enumerate(block) if reference.insert(v)]
-            d = basis.dim()
-            assert d == reference.dim()
-            assert basis.pivot_cols == reference.pivot_cols
-            assert np.array_equal(basis.rows, reference.rows)
-            assert basis._r.size == d * (ambient - d)
-            # No silent upcast: R stays in the dtype the bound chose.
-            assert basis._r.dtype == basis.dtype
-            for v in np.vstack([block, rng.integers(0, p, size=(2, ambient))]):
-                assert np.array_equal(basis.reduce(v), reference.reduce(v))
-                assert basis.contains(v) == reference.contains(v)
+        with mock.patch.object(matlen.linalg, "REDUCE_CHUNK", chunk):
+            for size in ops:
+                # Half the rows from a fixed subspace, so that many are rejected.
+                block = np.where(
+                    rng.random((size, 1)) < 0.5,
+                    rng.integers(0, p, size=(size, len(subspace))) @ subspace % p,
+                    rng.integers(0, p, size=(size, ambient)),
+                )
+                if size == 1 and rng.random() < 0.5:
+                    assert basis.insert(block[0]) == reference.insert(block[0])
+                else:
+                    assert basis.insert_rows(block) == [i for i, v in enumerate(block) if reference.insert(v)]
+                d = basis.dim()
+                assert d == reference.dim()
+                assert basis.pivot_cols == reference.pivot_cols
+                assert np.array_equal(basis.rows, reference.rows)
+                assert basis._r.size == d * (ambient - d)
+                # No silent upcast: R stays in the dtype the bound chose.
+                assert basis._r.dtype == basis.dtype
+                for v in np.vstack([block, rng.integers(0, p, size=(2, ambient))]):
+                    assert np.array_equal(basis.reduce(v), reference.reduce(v))
+                    assert basis.contains(v) == reference.contains(v)
 
     def test_full_span_stops_the_local_elimination(self, monkeypatch):
         """A block whose first row fills the span does no per-row work on the rows after it."""

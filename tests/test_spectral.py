@@ -341,6 +341,12 @@ class TestJordanProfile:
         with pytest.raises(CharPolyNotSplit):
             jordan_profile(Matrix(F7, [[1, 0], [0, 2]]), Spectrum(((1, 1),)))
 
+    def test_spectrum_naming_a_non_eigenvalue_is_rejected(self):
+        # The zero matrix's blocks at 0 cover both dimensions, so only the
+        # rank of A - I, which is full, shows that 1 is no eigenvalue.
+        with pytest.raises(CharPolyNotSplit, match="1 is not an eigenvalue"):
+            jordan_profile(Matrix.zero(F101, 2), Spectrum(((0, 1), (1, 1))))
+
 
 class TestPredicates:
     def test_nonderogatory(self):
