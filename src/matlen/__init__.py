@@ -17,26 +17,21 @@ from .instances import (
     JordanSpec,
     jordan_matrix,
     random_generating_set,
-    random_invertible,
 )
 from .length import (
     GeneratingSet,
     LengthReport,
     brute_force_length,
     compute_length,
-    is_generating,
 )
 from .linalg import (
     Matrix,
     Polynomial,
     PrimeField,
     SpanBasis,
-    conjugate,
     mat_inverse,
     mat_mul,
-    poly_eval,
     rank,
-    rref,
 )
 from .spectral import (
     JordanProfile,
@@ -66,20 +61,15 @@ __all__ = [
     "bound_ledger",
     "brute_force_length",
     "compute_length",
-    "conjugate",
     "find_rank_reduction",
-    "is_generating",
     "jordan_matrix",
     "jordan_profile",
     "mat_inverse",
     "mat_mul",
     "minimal_polynomial",
     "pappacena_bound",
-    "poly_eval",
     "random_generating_set",
-    "random_invertible",
     "rank",
-    "rref",
     "shitov_rank1_bound",
     "split_roots",
     "t10_t11_hypothesis",

@@ -53,9 +53,6 @@ class BoundLedger:
                 return e
         return None
 
-    def applicable(self) -> tuple[BoundEntry, ...]:
-        return tuple(e for e in self.entries if e.applicable)
-
 
 def find_rank_reduction(
     a: Matrix, profile: JordanProfile, r_max: int

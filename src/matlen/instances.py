@@ -111,11 +111,6 @@ def _invertible_pair(n: int, f: PrimeField, rng: np.random.Generator) -> tuple[M
             pass
 
 
-def random_invertible(n: int, f: PrimeField, seed) -> Matrix:
-    """Uniform-entry matrix resampled until full rank."""
-    return _invertible_pair(n, f, _rng(seed))[0]
-
-
 def _conjugated(a: Matrix, rng: np.random.Generator) -> Matrix:
     """P A P^-1 for the next random invertible P that rng draws."""
     p, p_inv = _invertible_pair(a.n, a.field, rng)

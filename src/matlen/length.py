@@ -133,10 +133,6 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     return LengthReport(n, tuple(dims))
 
 
-def is_generating(s: GeneratingSet) -> bool:
-    return compute_length(s).is_generating
-
-
 def brute_force_length(s: GeneratingSet, max_len: int) -> LengthReport:
     """Independent oracle: enumerate ALL words of each exact length.
 

@@ -137,10 +137,6 @@ class Matrix:
         return cls(field, np.eye(n, dtype=np.int64))
 
     @classmethod
-    def zero(cls, field: PrimeField, n: int) -> Matrix:
-        return cls(field, np.zeros((n, n), dtype=np.int64))
-
-    @classmethod
     def unit(cls, field: PrimeField, n: int, i: int, j: int) -> Matrix:
         """The matrix unit with a single 1 at position (i, j), 0-indexed."""
         arr = np.zeros((n, n), dtype=np.int64)
@@ -162,17 +158,6 @@ class Matrix:
     def vec(self) -> np.ndarray:
         """Row-major flattening into F_p^{n^2} (read-only view)."""
         return self.entries.reshape(-1)
-
-    def add(self, other: Matrix) -> Matrix:
-        _check_pair(self, other)
-        return Matrix(self.field, self.entries + other.entries)
-
-    def sub(self, other: Matrix) -> Matrix:
-        _check_pair(self, other)
-        return Matrix(self.field, self.entries - other.entries)
-
-    def scale(self, c: int) -> Matrix:
-        return Matrix(self.field, self.entries * (c % self.field.p))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -215,8 +200,8 @@ class Polynomial:
         """A polynomial from Python ints the package computed, without the type checks.
 
         Reduces mod p and strips trailing zeros like the public constructor.
-        Arithmetic, root splitting and minimal_polynomial build their results
-        through here: the public checks cost a loop over every coefficient.
+        Synthetic division, root splitting and minimal_polynomial build their
+        results through here: the public checks cost a loop over every coefficient.
         """
         poly = object.__new__(cls)
         poly.field = field
@@ -227,39 +212,9 @@ class Polynomial:
     def zero(cls, field: PrimeField) -> Polynomial:
         return cls._from_ints(field, ())
 
-    @classmethod
-    def one(cls, field: PrimeField) -> Polynomial:
-        return cls._from_ints(field, (1,))
-
-    @classmethod
-    def x_minus(cls, field: PrimeField, lam: int) -> Polynomial:
-        return cls(field, (-lam, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def mul(self, other: Polynomial) -> Polynomial:
-        _check_field(self.field, other.field)
-        return Polynomial._from_ints(self.field, _mul_coeffs(self.coeffs, other.coeffs))
-
-    def sub(self, other: Polynomial) -> Polynomial:
-        _check_field(self.field, other.field)
-        pad = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (pad - len(self.coeffs))
-        b = other.coeffs + (0,) * (pad - len(other.coeffs))
-        return Polynomial._from_ints(self.field, [x - y for x, y in zip(a, b)])
-
-    def divmod(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Long division by a nonzero polynomial; returns (quotient, remainder)."""
-        _check_field(self.field, other.field)
-        q, r = _divmod_coeffs(list(self.coeffs), other.coeffs, self.field)
-        return Polynomial._from_ints(self.field, q), Polynomial._from_ints(self.field, r)
-
-    def gcd(self, other: Polynomial) -> Polynomial:
-        """Monic greatest common divisor by Euclid's algorithm (zero if both are zero)."""
-        _check_field(self.field, other.field)
-        return Polynomial._from_ints(self.field, _gcd_coeffs(self.coeffs, other.coeffs, self.field))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Horner evaluation at residues (the root scan); acc * x + c < (p-1)^2 + p: exact in int64."""
@@ -398,13 +353,9 @@ def _companion_powers(f: Polynomial, start: int, count: int, e: int) -> np.ndarr
     return cols[:, :, 0]
 
 
-def _check_field(a: PrimeField, b: PrimeField) -> None:
-    if a != b:
-        raise FieldMismatch(f"mixed moduli {a.p} and {b.p}")
-
-
 def _check_pair(a: Matrix, b: Matrix) -> None:
-    _check_field(a.field, b.field)
+    if a.field != b.field:
+        raise FieldMismatch(f"mixed moduli {a.field.p} and {b.field.p}")
     if a.n != b.n:
         raise DimensionMismatch(f"orders differ: {a.n} vs {b.n}")
 
@@ -453,12 +404,6 @@ def _rref_array(arr: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[in
     return a, pivots
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    reduced, pivots = _rref_array(a.entries, a.field)
-    return Matrix(a.field, reduced), pivots
-
-
 def rank(a: Matrix) -> int:
     """Row rank over F_p."""
     return len(_rref_array(a.entries, a.field)[1])
@@ -503,28 +448,10 @@ def mat_inverse(a: Matrix) -> Matrix:
     return Matrix(a.field, reduced[:, n:])
 
 
-def conjugate(p: Matrix, a: Matrix) -> Matrix:
-    """P A P^{-1} (raises Singular when P is not invertible)."""
-    _check_pair(p, a)
-    return mat_mul(mat_mul(p, a), mat_inverse(p))
-
-
-def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
-    """Horner evaluation q(A), the reference for `_eval_rows`; the constant term multiplies
-    the identity. Each product sums n terms below (p-1)^2, plus a residue: exact in int64."""
-    field = a.field
-    _check_field(q.field, field)
-    acc = np.zeros((a.n, a.n), dtype=np.int64)
-    for c in reversed(q.coeffs):
-        acc = (acc @ a.entries) % field.p
-        if c:
-            acc[np.diag_indices(a.n)] = (acc.diagonal() + c) % field.p
-    return Matrix(field, acc)
-
-
 def _eval_rows(a: Matrix, rows: Sequence[Sequence[int]]) -> np.ndarray:
     """q(A) for each row q of n + 1 ascending residues, as a (len(rows), n, n) stack: one
-    product with `a.powers()`, each entry summing n + 1 terms below 2^40, exact in int64."""
+    product with `a.powers()`, each entry summing n + 1 terms below 2^40, exact in int64.
+    Horner's rule in the tests (`reference.poly_eval`) is its reference."""
     coeffs = np.array(rows, dtype=np.int64).reshape(-1, a.n + 1)
     return ((coeffs @ a.powers().reshape(a.n + 1, -1)) % a.field.p).reshape(-1, a.n, a.n)
 

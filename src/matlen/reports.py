@@ -239,12 +239,6 @@ def write_canonical_json(body: dict, write: Callable[[str], object]) -> None:
     write("".join(out))
 
 
-def canonical_json(body: dict) -> str:
-    chunks: list[str] = []
-    write_canonical_json(body, chunks.append)
-    return "".join(chunks)
-
-
 class Summary:
     """A report's summary block, folded in one record at a time.
 

@@ -26,9 +26,6 @@ class Spectrum:
 
     roots: tuple[tuple[int, int], ...]
 
-    def eigenvalues(self) -> tuple[int, ...]:
-        return tuple(lam for lam, _ in self.roots)
-
 
 @dataclass(frozen=True)
 class JordanProfile:

@@ -58,7 +58,9 @@ def audit(n: int, p: int, size: int) -> Audit:
             continue
         out.generating += 1
         ledger = bound_ledger(gs, [dataclasses.replace(analyses[i], index=j) for j, i in enumerate(combo)])
-        for e in ledger.applicable():
+        for e in ledger.entries:
+            if not e.applicable:
+                continue
             if rep.length > e.bound_value:
                 out.exceeded.append((combo, e.name, e.bound_value, rep.length))
             elif rep.length == e.bound_value:

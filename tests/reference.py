@@ -7,21 +7,27 @@ ambient_dim products below p^2, exact for every shape the tests use.
 `shifted_chain` builds the powers (A - lambda I)^j with plain numpy products.
 `powmod` is polynomial square-and-multiply, the reference for the companion-
 matrix powers of `linalg._companion_powers`.
+`poly_eval` is Horner's rule on matrices, the reference for the one-product
+evaluation `linalg._eval_rows`. `poly_product` multiplies polynomials out
+by schoolbook convolution, and `divisor_poly` builds prod (x - lambda)^a
+with it: both build test polynomials from their factors.
+`conjugate` is P A P^-1 from `mat_mul` and `mat_inverse`.
 `canonical_json` is `json.dumps` with the report layout, the reference for
-`reports.canonical_json`.
+`reports.write_canonical_json`.
 `krylov_test_matrix` draws the matrices the minimal polynomial is checked on.
 `rank_accepted_invertible` is the rank-based acceptance rule that
-`instances.random_invertible` must reproduce draw for draw.
+`instances._invertible_pair` must reproduce draw for draw.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from matlen.instances import JordanSpec, jordan_matrix, random_invertible
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate
+from matlen.instances import JordanSpec, _conjugated, jordan_matrix
+from matlen.linalg import Matrix, Polynomial, PrimeField, _divmod_coeffs, _mul_coeffs, mat_inverse, mat_mul
 
 
 class FullRowBasis:
@@ -132,13 +138,50 @@ def powmod(base: Polynomial, e: int, modulus: Polynomial) -> Polynomial:
     """base^e mod a nonzero modulus, by square-and-multiply with a reduction after each product."""
     if e < 0:
         raise ValueError(f"exponent must be non-negative, got {e}")
-    base = base.divmod(modulus)[1]
-    acc = Polynomial.one(base.field).divmod(modulus)[1]
+    field = base.field
+
+    def mod(cs: list[int]) -> list[int]:
+        return _divmod_coeffs(cs, modulus.coeffs, field)[1]
+
+    b, acc = mod(list(base.coeffs)), mod([1])
     for bit in bin(e)[2:]:
-        acc = acc.mul(acc).divmod(modulus)[1]
+        acc = mod(_mul_coeffs(acc, acc))
         if bit == "1":
-            acc = acc.mul(base).divmod(modulus)[1]
-    return acc
+            acc = mod(_mul_coeffs(acc, b))
+    return Polynomial(field, acc)
+
+
+def poly_product(field: PrimeField, factors: Iterable[Sequence[int]]) -> Polynomial:
+    """The product of polynomials given as ascending coefficients, multiplied out one
+    factor at a time by schoolbook convolution (1 for no factors)."""
+    acc = [1]
+    for f in factors:
+        out = [0] * max(len(acc) + len(f) - 1, 0)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(f):
+                out[i + j] = (out[i + j] + x * y) % field.p
+        acc = out
+    return Polynomial(field, acc)
+
+
+def divisor_poly(field: PrimeField, exponents: Iterable[tuple[int, int]]) -> Polynomial:
+    """prod (x - lambda)^a over the (lambda, a) pairs."""
+    return poly_product(field, [(-lam, 1) for lam, a in exponents for _ in range(a)])
+
+
+def poly_eval(q: Polynomial, a: Matrix) -> Matrix:
+    """q(A) by Horner's rule, one product per coefficient; the constant term multiplies the identity."""
+    p, n = a.field.p, a.n
+    acc = np.zeros((n, n), dtype=np.int64)
+    for c in reversed(q.coeffs):
+        acc = (acc @ a.entries) % p
+        acc[np.diag_indices(n)] = (acc.diagonal() + c) % p
+    return Matrix(a.field, acc)
+
+
+def conjugate(p: Matrix, a: Matrix) -> Matrix:
+    """P A P^-1 (raises Singular when P is not invertible)."""
+    return mat_mul(mat_mul(p, a), mat_inverse(p))
 
 
 def canonical_json(body: dict) -> str:
@@ -161,9 +204,9 @@ def krylov_test_matrix(rng, field: PrimeField, n: int, kind: str) -> tuple[Matri
     if kind == "random":
         return Matrix(field, rng.integers(0, p, size=(n, n))), None
     if kind == "scalar":
-        return Matrix.identity(field, n).scale(int(rng.integers(0, p))), 1
+        return Matrix(field, int(rng.integers(0, p)) * np.eye(n, dtype=np.int64)), 1
     if kind == "zero":
-        return Matrix.zero(field, n), 1
+        return Matrix(field, np.zeros((n, n), dtype=np.int64)), 1
     blocks: list[tuple[int, int]] = []
     left = n
     while left:
@@ -172,4 +215,4 @@ def krylov_test_matrix(rng, field: PrimeField, n: int, kind: str) -> tuple[Matri
         blocks += [(lam, size)] * copies
         left -= size * copies
     spec = JordanSpec(tuple(blocks))
-    return conjugate(random_invertible(n, field, rng), jordan_matrix(field, spec)), spec.minpoly_degree()
+    return _conjugated(jordan_matrix(field, spec), rng), spec.minpoly_degree()

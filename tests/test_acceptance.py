@@ -17,24 +17,18 @@ from matlen.cli import main
 from matlen.instances import (
     InstanceSpec,
     JordanSpec,
+    _conjugated,
+    _invertible_pair,
     build_instance_with_meta,
     derive_instance_spec,
     jordan_matrix,
     random_generating_set,
-    random_invertible,
     random_jordan_spec,
 )
 from matlen.length import GeneratingSet, brute_force_length, compute_length
-from matlen.linalg import (
-    Matrix,
-    Polynomial,
-    PrimeField,
-    SpanBasis,
-    conjugate,
-    poly_eval,
-    rank,
-)
+from matlen.linalg import Matrix, PrimeField, SpanBasis, rank
 from matlen.spectral import jordan_profile, minimal_polynomial, split_roots
+from reference import conjugate, divisor_poly, poly_eval
 
 F101 = PrimeField(101)
 MASTER_SEED = 20240811
@@ -192,14 +186,9 @@ def test_criterion_5_invariance_suite():
     for i in range(100):
         gs, n = fresh_set(i)
         base = compute_length(gs)
-        k = len(gs.gens)
-        c = random_invertible(k, F101, rng)
-        recombined = []
-        for r in range(k):
-            acc = Matrix.zero(F101, n)
-            for j in range(k):
-                acc = acc.add(gs.gens[j].scale(int(c.entries[r, j])))
-            recombined.append(acc)
+        c = _invertible_pair(len(gs.gens), F101, rng)[0]
+        gens = np.stack([g.entries for g in gs.gens])
+        recombined = [Matrix(F101, np.tensordot(row, gens, axes=1)) for row in c.entries]
         if compute_length(GeneratingSet.of(recombined)) == base:
             recombination_ok += 1
 
@@ -214,7 +203,7 @@ def test_criterion_5_invariance_suite():
         if basis.contains(Matrix.identity(F101, n).vec()):
             continue
         shifted = GeneratingSet.of(
-            [g.add(Matrix.identity(F101, n).scale(int(rng.integers(0, 101)))) for g in gs.gens]
+            [Matrix(F101, g.entries + int(rng.integers(0, 101)) * np.eye(n, dtype=np.int64)) for g in gs.gens]
         )
         if compute_length(shifted) == compute_length(gs):
             shifts_ok += 1
@@ -222,7 +211,7 @@ def test_criterion_5_invariance_suite():
 
     for i in range(100):
         gs, n = fresh_set(2000 + i)
-        p = random_invertible(n, F101, rng)
+        p = _invertible_pair(n, F101, rng)[0]
         conjugated = GeneratingSet.of([conjugate(p, g) for g in gs.gens])
         if compute_length(conjugated) == compute_length(gs):
             conjugation_ok += 1
@@ -241,7 +230,7 @@ def test_criterion_6_spectral_roundtrip():
         for i in range(200):
             rng = np.random.Generator(np.random.PCG64(_seed(6, n, i)))
             spec = random_jordan_spec(n, F101, rng)
-            a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
+            a = _conjugated(jordan_matrix(F101, spec), rng)
             mp = minimal_polynomial(a)
             profile = jordan_profile(a, split_roots(mp))
             if profile.blocks != spec.block_multisets():
@@ -261,19 +250,14 @@ def test_criterion_7_certificate_soundness():
         for i in range(50):
             rng = np.random.Generator(np.random.PCG64(_seed(7, i)))
             spec = random_jordan_spec(5, F101, rng)
-            a = conjugate(random_invertible(5, F101, rng), jordan_matrix(F101, spec))
+            a = _conjugated(jordan_matrix(F101, spec), rng)
             for r_max in (1, 2):
                 cert = find_rank_reduction(a, profile_of(a), r_max).get(r_max)
                 if cert is not None:
                     pool.append((a, cert))
     unsound = 0
     for a, cert in pool:
-        poly = Polynomial.one(F101)
-        for lam, e in cert.exponents:
-            factor = Polynomial.x_minus(F101, lam)
-            for _ in range(e):
-                poly = poly.mul(factor)
-        rebuilt = poly_eval(poly, a)
+        rebuilt = poly_eval(divisor_poly(F101, cert.exponents), a)
         if rebuilt != cert.witness or rank(rebuilt) != cert.achieved_rank:
             unsound += 1
     _gate(

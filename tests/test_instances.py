@@ -21,13 +21,12 @@ from matlen.instances import (
     derive_instance_spec,
     jordan_matrix,
     random_generating_set,
-    random_invertible,
     random_jordan_spec,
 )
-from matlen.length import compute_length, is_generating
-from matlen.linalg import Matrix, PrimeField, conjugate, mat_mul, rank
+from matlen.length import compute_length
+from matlen.linalg import Matrix, PrimeField, mat_mul, rank
 from matlen.spectral import jordan_profile, minimal_polynomial, split_roots
-from reference import rank_accepted_invertible
+from reference import conjugate, rank_accepted_invertible
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -53,16 +52,20 @@ class TestJordanMatrix:
 
 
 class TestRandomInvertible:
+    """`_invertible_pair`: the conjugator P, and its inverse, behind every prescribed generator."""
+
     def test_always_full_rank(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            assert rank(random_invertible(4, F101, rng)) == 4
+            assert rank(_invertible_pair(4, F101, rng)[0]) == 4
 
     def test_deterministic(self):
-        assert random_invertible(3, F101, 42) == random_invertible(3, F101, 42)
+        a, b = (_invertible_pair(3, F101, np.random.default_rng(42)) for _ in range(2))
+        assert a == b
 
     def test_golden_value(self):
-        assert random_invertible(3, F101, 42).entries.tolist() == GOLDEN_INVERTIBLE_3_101_SEED42
+        p = _invertible_pair(3, F101, np.random.default_rng(42))[0]
+        assert p.entries.tolist() == GOLDEN_INVERTIBLE_3_101_SEED42
 
     # F_2 at n = 2: 10 of the 16 matrices are singular, so most seeds redraw.
     @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (101, 1), (101, 4), (1048573, 5)])
@@ -73,7 +76,7 @@ class TestRandomInvertible:
             want = rank_accepted_invertible(n, field, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             got, inv = _invertible_pair(n, field, rng)
-            assert got == want == random_invertible(n, field, np.random.default_rng(seed))
+            assert got == want
             assert mat_mul(got, inv) == Matrix.identity(field, n)
             # The generator is left where the rank rule leaves it.
             ref_rng = np.random.default_rng(seed)
@@ -90,7 +93,7 @@ class TestRandomInvertible:
         for seed in range(20):
             a = Matrix(field, np.random.default_rng(1000 + seed).integers(0, p, size=(n, n)))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _conjugated(a, rng) == conjugate(random_invertible(n, field, ref_rng), a)
+            assert _conjugated(a, rng) == conjugate(_invertible_pair(n, field, ref_rng)[0], a)
             assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
@@ -148,13 +151,13 @@ class TestBuildInstance:
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 3), (0, 1))), extra_gens=1, seed=7, family="T10")
         gs = build_instance_with_meta(spec).generating_set
         assert max(minimal_polynomial(g).degree for g in gs.gens) == 3
-        assert is_generating(gs)
+        assert compute_length(gs).is_generating
 
     def test_t12_example_needs_two_companions(self):
         spec = InstanceSpec(n=4, p=101, jordan=JordanSpec(((0, 2), (0, 2))), extra_gens=2, seed=7, family="T12")
         gs = build_instance_with_meta(spec).generating_set
         assert max(minimal_polynomial(g).degree for g in gs.gens) == 2
-        assert is_generating(gs)
+        assert compute_length(gs).is_generating
 
     def test_t12_pair_is_impossible(self):
         # All-quadratic pairs span only alternating words: 1 + 2l < 16 dims.
@@ -286,7 +289,7 @@ class TestStressModulus:
             n=4, p=65521, jordan=JordanSpec(((3, 3), (3, 1))), extra_gens=1, seed=8, family="T10"
         )
         gs = build_instance_with_meta(spec).generating_set
-        assert max(minimal_polynomial(g).degree for g in gs.gens) == 3 and is_generating(gs)
+        assert max(minimal_polynomial(g).degree for g in gs.gens) == 3 and compute_length(gs).is_generating
         a = gs.gens[0]
         spectrum = split_roots(minimal_polynomial(a))
         assert spectrum.roots == ((3, 3),)
@@ -297,7 +300,7 @@ class TestRandomGeneratingSet:
     def test_generates_and_is_deterministic(self):
         a = random_generating_set(2, F101, 2, 42)
         b = random_generating_set(2, F101, 2, 42)
-        assert a == b and is_generating(a)
+        assert a == b and compute_length(a).is_generating
 
     def test_single_matrix_rejected(self):
         with pytest.raises(ValueError):

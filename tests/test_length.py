@@ -8,21 +8,20 @@ import pytest
 from matlen import length, linalg
 from matlen.errors import BudgetExceeded, EmptySet
 from matlen.instances import (
+    _invertible_pair,
     build_instance_with_meta,
     derive_instance_spec,
     random_generating_set,
-    random_invertible,
 )
 from matlen.length import (
     GeneratingSet,
     LengthReport,
     brute_force_length,
     compute_length,
-    is_generating,
 )
-from matlen.linalg import Matrix, PrimeField, SpanBasis, conjugate, mat_mul
+from matlen.linalg import Matrix, PrimeField, SpanBasis, mat_mul
 from matlen.spectral import minimal_polynomial
-from reference import FullRowBasis
+from reference import FullRowBasis, conjugate
 
 F101 = PrimeField(101)
 
@@ -292,15 +291,9 @@ class TestBruteForce:
 
 class TestInvariance:
     def recombine(self, gs: GeneratingSet, rng) -> GeneratingSet:
-        k = len(gs.gens)
-        c = random_invertible(k, gs.field, rng)
-        new = []
-        for i in range(k):
-            acc = Matrix.zero(gs.field, gs.n)
-            for j in range(k):
-                acc = acc.add(gs.gens[j].scale(int(c.entries[i, j])))
-            new.append(acc)
-        return GeneratingSet.of(new)
+        c = _invertible_pair(len(gs.gens), gs.field, rng)[0]
+        gens = np.stack([g.entries for g in gs.gens])
+        return GeneratingSet.of([Matrix(gs.field, np.tensordot(row, gens, axes=1)) for row in c.entries])
 
     def test_invertible_recombination(self):
         rng = np.random.default_rng(61)
@@ -319,10 +312,7 @@ class TestInvariance:
             if basis.contains(Matrix.identity(F101, 3).vec()):
                 continue
             shifted = GeneratingSet.of(
-                [
-                    g.add(Matrix.identity(F101, 3).scale(int(rng.integers(0, 101))))
-                    for g in gs.gens
-                ]
+                [Matrix(F101, g.entries + int(rng.integers(0, 101)) * np.eye(3, dtype=np.int64)) for g in gs.gens]
             )
             assert compute_length(shifted).length == compute_length(gs).length
             checked += 1
@@ -331,7 +321,7 @@ class TestInvariance:
         rng = np.random.default_rng(71)
         for _ in range(20):
             gs = random_generating_set(3, F101, 2, rng)
-            p = random_invertible(3, F101, rng)
+            p = _invertible_pair(3, F101, rng)[0]
             conjugated = GeneratingSet.of([conjugate(p, g) for g in gs.gens])
             assert compute_length(conjugated) == compute_length(gs)
 
@@ -349,7 +339,7 @@ class TestInvarianceAt48:
 
     def test_simultaneous_conjugation(self, pair_at_48):
         gs, dims = pair_at_48
-        change = random_invertible(48, F101, np.random.default_rng(1))
+        change = _invertible_pair(48, F101, np.random.default_rng(1))[0]
         assert compute_length(GeneratingSet.of([conjugate(change, g) for g in gs.gens])).dims == dims
 
     def test_transpose(self, pair_at_48):
@@ -362,7 +352,7 @@ class TestInvarianceAt48:
         # ones and I, so every L_i is the same space.
         gs, dims = pair_at_48
         rng = np.random.default_rng(2)
-        c = random_invertible(2, F101, rng).entries
+        c = _invertible_pair(2, F101, rng)[0].entries
         a, b = (g.entries for g in gs.gens)
         identity = np.eye(48, dtype=np.int64)
         shifted = [Matrix(F101, c[i, 0] * a + c[i, 1] * b + rng.integers(0, 101) * identity) for i in range(2)]
@@ -374,6 +364,6 @@ class TestGeneratingSetValidation:
         with pytest.raises(EmptySet):
             GeneratingSet.of([])
 
-    def test_is_generating_shortcut(self):
-        assert is_generating(units_pair())
-        assert not is_generating(GeneratingSet.of([Matrix.identity(F101, 2)]))
+    def test_is_generating_read_from_the_trace(self):
+        assert compute_length(units_pair()).is_generating
+        assert not compute_length(GeneratingSet.of([Matrix.identity(F101, 2)])).is_generating

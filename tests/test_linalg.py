@@ -23,7 +23,7 @@ from matlen.errors import (
     ParseError,
     Singular,
 )
-from matlen.instances import random_invertible
+from matlen.instances import _conjugated, _invertible_pair
 from matlen.linalg import (
     MAX_MODULUS,
     REDUCE_CHUNK,
@@ -33,20 +33,20 @@ from matlen.linalg import (
     PrimeField,
     SpanBasis,
     _companion_powers,
+    _divmod_coeffs,
     _eval_rows,
+    _gcd_coeffs,
     _is_prime,
+    _mul_coeffs,
     _reduce,
     _rref_array,
     _stack_ranks,
-    conjugate,
     mat_inverse,
     mat_mul,
-    poly_eval,
     rank,
-    rref,
 )
 from matlen.spectral import minimal_polynomial
-from reference import FullRowBasis, powmod
+from reference import FullRowBasis, divisor_poly, poly_eval, poly_product, powmod
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -193,14 +193,16 @@ class TestInternalConstructor:
         lam=st.integers(0, 2**20),
     )
     def test_arithmetic_results_are_canonical(self, p, a, b, lam):
+        # The coefficient-list kernels return lists the constructor leaves as they are.
         field = PrimeField(p)
         a, b = Polynomial(field, a), Polynomial(field, b)
-        results = [a.mul(b), a.sub(b), b.sub(a), a.gcd(b), a.divmod_linear(lam)[0],
-                   Polynomial.zero(field), Polynomial.one(field)]
-        if b.degree >= 0:
-            results += a.divmod(b)
-        for poly in results:
+        for poly in (a.divmod_linear(lam)[0], Polynomial.zero(field)):
             assert_canonical(poly)
+        results = [_gcd_coeffs(a.coeffs, b.coeffs, field)]
+        if b.degree >= 0:
+            results += _divmod_coeffs(list(a.coeffs), b.coeffs, field)
+        for cs in results:
+            assert all(type(c) is int for c in cs) and tuple(cs) == Polynomial(field, cs).coeffs
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.sampled_from([2, 7, 101, 1048573]), n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -215,31 +217,44 @@ def poly_strategy(max_degree: int):
     return st.lists(st.integers(0, 100), max_size=max_degree + 1).map(lambda cs: Polynomial(F101, cs))
 
 
+def divides(d, x) -> bool:
+    """Whether the coefficient list d divides x over F_101."""
+    return not _divmod_coeffs(list(x), d, F101)[1]
+
+
 class TestPolynomialArithmetic:
+    """The coefficient-list kernels of root splitting: `_mul_coeffs`, `_divmod_coeffs`, `_gcd_coeffs`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=poly_strategy(8), b=poly_strategy(8))
+    def test_mul_matches_schoolbook(self, a, b):
+        assert Polynomial(F101, _mul_coeffs(a.coeffs, b.coeffs)) == poly_product(F101, [a.coeffs, b.coeffs])
+
     @settings(max_examples=60, deadline=None)
     @given(a=poly_strategy(14), b=poly_strategy(8))
     def test_divmod_reconstructs(self, a, b):
         if b.degree < 0:
             with pytest.raises(ZeroDivisionError):
-                a.divmod(b)
+                _divmod_coeffs(list(a.coeffs), b.coeffs, F101)
             return
-        q, r = a.divmod(b)
-        assert r.degree < b.degree
-        assert q.mul(b).sub(a.sub(r)) == Polynomial.zero(F101)
+        q, r = _divmod_coeffs(list(a.coeffs), b.coeffs, F101)
+        assert len(r) - 1 < b.degree
+        a_minus_r = [x - y for x, y in zip(a.coeffs, r + [0] * len(a.coeffs))]
+        assert poly_product(F101, [q, b.coeffs]) == Polynomial(F101, a_minus_r)
 
     @settings(max_examples=60, deadline=None)
     @given(a=poly_strategy(6), b=poly_strategy(6), c=poly_strategy(4))
     def test_gcd_is_monic_common_divisor_of_greatest_degree(self, a, b, c):
-        ac, bc = a.mul(c), b.mul(c)
-        g = ac.gcd(bc)
-        if ac.degree < 0 and bc.degree < 0:
-            assert g == Polynomial.zero(F101)
+        ac, bc = (poly_product(F101, [x.coeffs, c.coeffs]).coeffs for x in (a, b))
+        g = _gcd_coeffs(ac, bc, F101)
+        if not ac and not bc:
+            assert g == []
             return
-        assert g.coeffs[-1] == 1
-        assert ac.divmod(g)[1].degree < 0 and bc.divmod(g)[1].degree < 0
+        assert g[-1] == 1
+        assert divides(g, ac) and divides(g, bc)
         # c divides both, so it divides their greatest common divisor.
         if c.degree >= 0:
-            assert g.divmod(c)[1].degree < 0
+            assert divides(c.coeffs, g)
 
 
 class TestCompanionPowers:
@@ -250,10 +265,8 @@ class TestCompanionPowers:
     def test_powmod_matches_repeated_products(self, base, e, m):
         if m.degree < 0:
             return
-        expected = Polynomial.one(F101)
-        for _ in range(e):
-            expected = expected.mul(base)
-        assert powmod(base, e, m) == expected.divmod(m)[1]
+        expected = _divmod_coeffs(list(poly_product(F101, [base.coeffs] * e).coeffs), m.coeffs, F101)[1]
+        assert powmod(base, e, m) == Polynomial(F101, expected)
 
     def test_powmod_rejects_negative_exponent(self):
         x = Polynomial(F7, (0, 1))
@@ -281,7 +294,7 @@ class TestCompanionPowers:
             assert Polynomial(field, row) == powmod(x_plus_a, e, modulus)
 
     def test_constant_modulus_leaves_zero(self):
-        assert _companion_powers(Polynomial.one(F7), 3, 2, 5).shape == (2, 0)
+        assert _companion_powers(Polynomial(F7, (1,)), 3, 2, 5).shape == (2, 0)
 
     def test_rejects_non_monic_modulus_and_negative_exponent(self):
         with pytest.raises(ValueError, match="monic"):
@@ -324,34 +337,35 @@ class TestMatMul:
         for _ in range(25):
             a, b, c = (random_matrix(F101, 3, rng) for _ in range(3))
             assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
-            assert mat_mul(a, b.add(c)) == mat_mul(a, b).add(mat_mul(a, c))
+            b_plus_c = Matrix(F101, b.entries + c.entries)
+            assert mat_mul(a, b_plus_c) == Matrix(F101, mat_mul(a, b).entries + mat_mul(a, c).entries)
 
 
 class TestRankRref:
     def test_rank_basics(self):
-        assert rank(Matrix.zero(F101, 3)) == 0
+        assert rank(Matrix(F101, np.zeros((3, 3), dtype=np.int64))) == 0
         assert rank(Matrix.identity(F101, 5)) == 5
         assert rank(nilpotent_jordan(F101, 3)) == 2
 
     def test_rref_identity_and_zero(self):
-        r, pivots = rref(Matrix.identity(F101, 4))
-        assert r == Matrix.identity(F101, 4) and pivots == [0, 1, 2, 3]
-        r, pivots = rref(Matrix.zero(F101, 3))
-        assert r == Matrix.zero(F101, 3) and pivots == []
+        r, pivots = _rref_array(np.eye(4, dtype=np.int64), F101)
+        assert np.array_equal(r, np.eye(4)) and pivots == [0, 1, 2, 3]
+        r, pivots = _rref_array(np.zeros((3, 3), dtype=np.int64), F101)
+        assert not r.any() and pivots == []
 
     def test_rref_hand_elimination(self):
         # [[2,4],[1,2]] over F_7: scale row 0 by inv(2)=4 -> [1,2]; row 1 clears.
-        r, pivots = rref(Matrix(F7, [[2, 4], [1, 2]]))
+        r, pivots = _rref_array(np.array([[2, 4], [1, 2]]), F7)
         assert pivots == [0]
-        assert r == Matrix(F7, [[1, 2], [0, 0]])
+        assert r.tolist() == [[1, 2], [0, 0]]
 
     def test_rref_idempotent(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             m = random_matrix(F7, 4, rng)
-            once, piv = rref(m)
-            twice, piv2 = rref(once)
-            assert once == twice and piv == piv2
+            once, piv = _rref_array(m.entries, F7)
+            twice, piv2 = _rref_array(once, F7)
+            assert np.array_equal(once, twice) and piv == piv2
 
 
 RREF_ROW_KINDS = ("random", "zero", "duplicate", "combination", "top")
@@ -447,7 +461,7 @@ def stack_matrix(rng, p: int, n: int, kind: str) -> np.ndarray:
     if kind == "nilpotent":
         # Strictly upper triangular, conjugated by a random invertible matrix.
         u = np.triu(rng.integers(0, p, size=(n, n)), 1)
-        return conjugate(random_invertible(n, PrimeField(p), rng), Matrix(PrimeField(p), u)).entries
+        return _conjugated(Matrix(PrimeField(p), u), rng).entries
     r = int(rng.integers(0, n))
     return (rng.integers(0, p, size=(n, r)) @ rng.integers(0, p, size=(r, n))) % p
 
@@ -508,34 +522,36 @@ class TestInverse:
 
 
 class TestConjugate:
-    def test_identity_conjugation(self):
+    """`instances._conjugated`: P A P^-1 for the next invertible P a generator draws."""
+
+    def test_undone_by_its_conjugator(self):
         rng = np.random.default_rng(9)
         a = random_matrix(F101, 4, rng)
-        assert conjugate(Matrix.identity(F101, 4), a) == a
+        p, p_inv = _invertible_pair(4, F101, np.random.default_rng(10))
+        assert mat_mul(mat_mul(p_inv, _conjugated(a, np.random.default_rng(10))), p) == a
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(13)
         for n in range(2, 7):
             for _ in range(100):
-                p = random_matrix(F101, n, rng)
-                if rank(p) < n:
-                    continue
                 a = random_matrix(F101, n, rng)
-                assert rank(conjugate(p, a)) == rank(a)
+                assert rank(_conjugated(a, rng)) == rank(a)
 
 
 class TestPolyEval:
+    """The reference Horner evaluation that `_eval_rows` is checked against."""
+
     def test_square_of_nilpotent(self):
         q = Polynomial(F101, (0, 0, 1))
         assert poly_eval(q, nilpotent_jordan(F101, 3)) == Matrix.unit(F101, 3, 0, 2)
 
     def test_constant_one(self):
-        q = Polynomial.one(F101)
+        q = Polynomial(F101, (1,))
         assert poly_eval(q, nilpotent_jordan(F101, 4)) == Matrix.identity(F101, 4)
 
     def test_split_product_on_diagonal(self):
         # (x-1)(x-2) = x^2 - 3x + 2 at diag(1,2,3) -> diag(0,0,2)
-        q = Polynomial.x_minus(F7, 1).mul(Polynomial.x_minus(F7, 2))
+        q = divisor_poly(F7, [(1, 1), (2, 1)])
         a = Matrix(F7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
         assert poly_eval(q, a) == Matrix(F7, [[0, 0, 0], [0, 0, 0], [0, 0, 2]])
 
@@ -549,7 +565,7 @@ class TestPolyEval:
         rng = np.random.default_rng(seed)
         a = random_matrix(F101, 3, rng)
         q, r = Polynomial(F101, qc), Polynomial(F101, rc)
-        assert poly_eval(q.mul(r), a) == mat_mul(poly_eval(q, a), poly_eval(r, a))
+        assert poly_eval(poly_product(F101, [qc, rc]), a) == mat_mul(poly_eval(q, a), poly_eval(r, a))
 
 
 class TestPowersStack:
@@ -640,7 +656,7 @@ class TestSpanBasis:
     def test_scalar_multiple_rejected(self):
         basis = SpanBasis(F101, 4)
         basis.insert(Matrix.identity(F101, 2).vec())
-        assert not basis.insert(Matrix.identity(F101, 2).scale(3).vec())
+        assert not basis.insert(Matrix(F101, 3 * np.eye(2, dtype=np.int64)).vec())
         assert basis.dim() == 1
 
     def test_matrix_units_any_order(self):

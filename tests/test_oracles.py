@@ -14,8 +14,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from matlen.errors import NotSplit  # noqa: E402
-from matlen.instances import jordan_matrix, random_invertible, random_jordan_spec  # noqa: E402
-from matlen.linalg import Matrix, PrimeField, SpanBasis, _gcd_coeffs, conjugate, rank, rref  # noqa: E402
+from matlen.instances import _conjugated, jordan_matrix, random_jordan_spec  # noqa: E402
+from matlen.linalg import Matrix, PrimeField, SpanBasis, _gcd_coeffs, _rref_array, rank  # noqa: E402
 from matlen.spectral import minimal_polynomial, split_roots  # noqa: E402
 from reference import KRYLOV_KINDS, krylov_minimal_polynomial, krylov_test_matrix  # noqa: E402
 
@@ -63,9 +63,9 @@ def test_rank(p, seed, n, r):
        r=st.integers(1, 8))
 def test_rref(p, seed, n, r):
     a = low_rank_stack(np.random.default_rng(seed), p, n, n, r)
-    reduced, pivots = rref(Matrix(PrimeField(p), a))
+    reduced, pivots = _rref_array(a, PrimeField(p))
     expected, expected_pivots = DomainMatrix.from_list(a.tolist(), sympy.GF(p)).rref()
-    assert reduced.entries.tolist() == [[int(e) % p for e in row] for row in expected.to_list()]
+    assert reduced.tolist() == [[int(e) % p for e in row] for row in expected.to_list()]
     assert tuple(pivots) == tuple(expected_pivots)
 
 
@@ -108,7 +108,7 @@ def spectral_test_matrix(rng, field: PrimeField, n: int, kind: str) -> Matrix:
         a = np.zeros((n, n), dtype=np.int64)
         a[:k, :k] = jordan_matrix(field, random_jordan_spec(k, field, rng)).entries
         a[k:, k:] = rng.integers(0, p, size=(n - k, n - k))
-    return conjugate(random_invertible(n, field, rng), Matrix(field, a))
+    return _conjugated(Matrix(field, a), rng)
 
 
 def sympy_matrix_eval(coeffs: list[int], a: np.ndarray, p: int) -> list[list[int]]:

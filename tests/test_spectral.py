@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from matlen import linalg, spectral
 from matlen.errors import CharPolyNotSplit, DimensionMismatch, FieldMismatch, NotSplit
-from matlen.instances import JordanSpec, jordan_matrix, random_invertible, random_jordan_spec
+from matlen.instances import JordanSpec, _conjugated, jordan_matrix, random_jordan_spec
 from matlen.length import GeneratingSet
-from matlen.linalg import Matrix, Polynomial, PrimeField, conjugate, poly_eval
+from matlen.linalg import Matrix, Polynomial, PrimeField
 from matlen.spectral import (
     SCAN_MAX_P,
     Spectrum,
@@ -24,7 +24,7 @@ from matlen.spectral import (
     splitting_roots,
     unique_max_block,
 )
-from reference import KRYLOV_KINDS, krylov_minimal_polynomial, krylov_test_matrix
+from reference import KRYLOV_KINDS, divisor_poly, krylov_minimal_polynomial, krylov_test_matrix, poly_eval, poly_product
 
 F7 = PrimeField(7)
 F11 = PrimeField(11)
@@ -57,7 +57,7 @@ class TestMinimalPolynomial:
                 a = Matrix(F101, rng.integers(0, 101, size=(n, n)))
                 mp = minimal_polynomial(a)
                 assert mp.coeffs[-1] == 1
-                assert poly_eval(mp, a) == Matrix.zero(F101, n)
+                assert not poly_eval(mp, a).entries.any()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -84,8 +84,7 @@ class TestMinimalPolynomial:
         rng = np.random.default_rng(23)
         for _ in range(25):
             a = Matrix(F101, rng.integers(0, 101, size=(4, 4)))
-            p = random_invertible(4, F101, rng)
-            assert minimal_polynomial(conjugate(p, a)) == minimal_polynomial(a)
+            assert minimal_polynomial(_conjugated(a, rng)) == minimal_polynomial(a)
 
 
 class TestMOfS:
@@ -115,8 +114,7 @@ class TestSplitRoots:
             split_roots(mp)
 
     def test_triple_root(self):
-        q = Polynomial.x_minus(F11, 5)
-        cube = q.mul(q).mul(q)
+        cube = divisor_poly(F11, [(5, 3)])
         assert split_roots(cube).roots == ((5, 3),)
 
     def test_reconstruction(self):
@@ -126,12 +124,7 @@ class TestSplitRoots:
             a = jordan_matrix(F101, spec)
             mp = minimal_polynomial(a)
             spectrum = split_roots(mp)
-            product = Polynomial.one(F101)
-            for lam, e in spectrum.roots:
-                factor = Polynomial.x_minus(F101, lam)
-                for _ in range(e):
-                    product = product.mul(factor)
-            assert product == mp
+            assert divisor_poly(F101, spectrum.roots) == mp
             assert sum(e for _, e in spectrum.roots) == mp.degree
 
 
@@ -162,13 +155,9 @@ def root_test_polys(draw, primes):
             # x^2 - c for a non-square c: irreducible over F_p.
             c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
             extras.append([-c, 0, 1])
-    poly = Polynomial(field, (draw(st.integers(1, p - 1)),))
-    for lam, mult in factors:
-        for _ in range(mult):
-            poly = poly.mul(Polynomial.x_minus(field, lam))
-    for cs in extras:
-        poly = poly.mul(Polynomial(field, cs[:-1] + [cs[-1] or 1]))
-    return field, poly
+    lead = draw(st.integers(1, p - 1))
+    linear = [(-lam, 1) for lam, mult in factors for _ in range(mult)]
+    return field, poly_product(field, [(lead,), *linear, *(cs[:-1] + [cs[-1] or 1] for cs in extras)])
 
 
 class TestRootFinders:
@@ -184,9 +173,8 @@ class TestRootFinders:
         # x(x-1)...(x-lam) over F_3, F_5, F_7, up to every element a root.
         for p in (3, 5, 7):
             field = PrimeField(p)
-            full = Polynomial.one(field)
             for lam in range(p):
-                full = full.mul(Polynomial.x_minus(field, lam))
+                full = divisor_poly(field, [(root, 1) for root in range(lam + 1)])
                 assert splitting_roots(full) == list(range(lam + 1))
 
     def test_constant_and_rootless(self):
@@ -217,16 +205,12 @@ class TestRootFinders:
             for roots in itertools.chain.from_iterable(
                 itertools.combinations(range(p), k) for k in range(2, p + 1)
             ):
-                poly = Polynomial(field, (int(rng.integers(1, p)),))
-                for lam in roots:
-                    for _ in range(int(rng.integers(1, 3))):
-                        poly = poly.mul(Polynomial.x_minus(field, lam))
-                polys.append(poly)
+                lead = int(rng.integers(1, p))
+                linear = [(-lam, 1) for lam in roots for _ in range(int(rng.integers(1, 3)))]
+                polys.append(poly_product(field, [(lead,), *linear]))
         for size in range(8, 21):
-            poly = Polynomial.one(F101)
-            for lam in rng.choice(101, size=size, replace=False).tolist():
-                poly = poly.mul(Polynomial.x_minus(F101, lam))
-            polys.append(poly)
+            roots = rng.choice(101, size=size, replace=False).tolist()
+            polys.append(divisor_poly(F101, [(lam, 1) for lam in roots]))
         for poly in polys:
             calls.clear()
             assert splitting_roots(poly) == scan_roots(poly)
@@ -268,9 +252,7 @@ class TestJordanProfile:
             for _ in range(30):
                 spec = random_jordan_spec(n, F101, rng)
                 a = jordan_matrix(F101, spec)
-                p = random_invertible(n, F101, rng)
-                conjugated = conjugate(p, a)
-                prof = self.profile_of(conjugated)
+                prof = self.profile_of(_conjugated(a, rng))
                 assert prof.blocks == spec.block_multisets()
 
     def test_degree_equals_sum_of_max_blocks(self):
@@ -278,7 +260,7 @@ class TestJordanProfile:
         for n in range(2, 7):
             for _ in range(30):
                 spec = random_jordan_spec(n, F101, rng)
-                a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
+                a = _conjugated(jordan_matrix(F101, spec), rng)
                 mp = minimal_polynomial(a)
                 prof = self.profile_of(a)
                 assert mp.degree == sum(sizes[0] for sizes in prof.blocks.values())
@@ -298,7 +280,7 @@ class TestJordanProfile:
         rng = np.random.default_rng(47)
         for n in range(2, 9):
             spec = random_jordan_spec(n, F101, rng)
-            a = conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec))
+            a = _conjugated(jordan_matrix(F101, spec), rng)
             roots = split_roots(minimal_polynomial(a))
             calls.clear()
             with monkeypatch.context() as m:
@@ -319,7 +301,7 @@ class TestJordanProfile:
             mats = []
             for _ in range(int(rng.integers(1, 5))):
                 spec = random_jordan_spec(n, F101, rng)
-                mats.append(conjugate(random_invertible(n, F101, rng), jordan_matrix(F101, spec)))
+                mats.append(_conjugated(jordan_matrix(F101, spec), rng))
             pairs = [(a, split_roots(minimal_polynomial(a))) for a in mats]
             alone = [jordan_profile(a, roots) for a, roots in pairs]
             calls.clear()
@@ -345,7 +327,7 @@ class TestJordanProfile:
         # The zero matrix's blocks at 0 cover both dimensions, so only the
         # rank of A - I, which is full, shows that 1 is no eigenvalue.
         with pytest.raises(CharPolyNotSplit, match="1 is not an eigenvalue"):
-            jordan_profile(Matrix.zero(F101, 2), Spectrum(((0, 1), (1, 1))))
+            jordan_profile(Matrix(F101, np.zeros((2, 2), dtype=np.int64)), Spectrum(((0, 1), (1, 1))))
 
 
 class TestPredicates:
