@@ -13,15 +13,9 @@ from itertools import product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, EmptySet, FieldMismatch
-from .linalg import Matrix, PrimeField, SpanBasis, _reduce, _rref_array, mat_mul
+from .linalg import Matrix, PrimeField, SpanBasis, _rref_array, mat_mul
 
 BRUTE_FORCE_WORD_GUARD = 10**6
-# Candidate words per block insert. On random 2-generator sets over F_101
-# (2-core x86 VM, three runs each), 64, 128 and 256 ran the
-# benchmark's n = 16-32 mix at 37.2-41.6, 40.2-41.2 and 33.2-38.8 sets/s,
-# and one n = 48 set in 0.46-0.60, 0.43-0.44 and 0.48-0.54 s. 128 was
-# fastest or level at both sizes, so it stays.
-BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -83,54 +77,25 @@ def compute_length(s: GeneratingSet, max_levels: int | None = None) -> LengthRep
     length i. Terminates within n^2 levels: the dimension strictly increases
     until the final level.
 
-    A level's candidates are listed generator-major: every generator in
-    turn times the frontier, in frontier order. They are built and inserted
-    BLOCK_ROWS words at a time, whatever the generator boundaries, so a
-    small level is one block; a block is built from the slices of the
-    generators it covers. `SpanBasis._insert_block` takes each block as
-    built: already residues in the basis dtype. The frontier is the same,
-    in the same order, as one insert per candidate.
-    A word repeated on a level lies in the span of its first copy, so the
-    basis rejects it like any other dependent word. Once the span is full,
-    the level's remaining blocks are neither built nor inserted: no word can
-    grow it, and no further level follows.
+    Every level, level 0 included as the identity times itself, enters the
+    basis through one `SpanBasis.insert_products` call, which builds the
+    candidates in blocks, rejects dependent and repeated words, stops once
+    the span is full, and returns the frontier in the same order as one
+    insert per candidate would.
     """
-    field, n = s.field, s.n
-    full = n * n
+    full = s.n * s.n
     cap = full if max_levels is None else max_levels
-    basis = SpanBasis(field, full)
-    identity = Matrix.identity(field, n)
-    basis.insert(identity.vec())
+    basis = SpanBasis(s.field, full)
+    identity = np.eye(s.n, dtype=np.int64)
+    frontier = basis.insert_products([identity], identity[np.newaxis])
     dims = [basis.dim()]
-    # A candidate entry sums n products of residues, within the basis's
-    # exactness bound. Kept words are residues, stored in the smallest
-    # unsigned dtype that holds p - 1 and cast to the basis dtype one block
-    # at a time; both casts are exact.
-    gens = [g.entries.astype(basis.dtype) for g in s.gens]
-    word = np.min_scalar_type(field.p - 1)
-    frontier = identity.entries.astype(word)[np.newaxis]
-    while dims[-1] < full:
+    gens = [g.entries for g in s.gens]
+    while dims[-1] < full and len(frontier):
         if len(dims) - 1 >= cap:
             raise BudgetExceeded(f"span still growing after the level cap {cap}")
-        grown = []
-        # Candidate c of the level is gens[c // f] @ frontier[c % f].
-        f = len(frontier)
-        rows = len(gens) * f
-        for start in range(0, rows, BLOCK_ROWS):
-            if basis.dim() == full:
-                break
-            stop = min(start + BLOCK_ROWS, rows)
-            parts = [
-                gens[i] @ frontier[max(start - i * f, 0) : stop - i * f].astype(basis.dtype)
-                for i in range(start // f, (stop - 1) // f + 1)
-            ]
-            block = _reduce(parts[0] if len(parts) == 1 else np.concatenate(parts), field.p)
-            grown.append(block[basis._insert_block(block.reshape(len(block), full))].astype(word))
+        frontier = basis.insert_products(gens, frontier)
         dims.append(basis.dim())
-        frontier = np.concatenate(grown)
-        if not len(frontier):
-            break
-    return LengthReport(n, tuple(dims))
+    return LengthReport(s.n, tuple(dims))
 
 
 def brute_force_length(s: GeneratingSet, max_len: int) -> LengthReport:

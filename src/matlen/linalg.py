@@ -461,7 +461,7 @@ def _eval_rows(a: Matrix, rows: Sequence[Sequence[int]]) -> np.ndarray:
 # vectors reduced against the basis, v[free] - v[pivots] @ R, sums d <=
 # ambient_dim terms; the local elimination's products over the k rows kept
 # so far, and the merge of k new rows, R[:, keep] - R[:, lp] @ new, sum k <=
-# ambient_dim terms; and each candidate word compute_length builds from
+# ambient_dim terms; and each candidate word insert_products builds from
 # n x n matrices sums n <= ambient_dim terms. Each term is a product of
 # two residues in [0, p), so every partial sum is an integer of magnitude
 # below ambient_dim * (p-1)^2, and its difference with a residue stays within
@@ -533,6 +533,14 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+# Candidate words per block in insert_products. On random 2-generator sets
+# over F_101 (2-core x86 VM, three runs each), 64, 128 and 256 ran the
+# benchmark's n = 16-32 mix at 37.2-41.6, 40.2-41.2 and 33.2-38.8 sets/s,
+# and one n = 48 set in 0.46-0.60, 0.43-0.44 and 0.48-0.54 s. 128 was
+# fastest or level at both sizes, so it stays.
+BLOCK_ROWS = 128
+
+
 class SpanBasis:
     """Row-reduced basis of a subspace of F_p^{ambient_dim}, stored as its free columns.
 
@@ -542,8 +550,9 @@ class SpanBasis:
     every other pivot, and `_r[i]` on `_free`. A vector's coordinate on row i
     is its entry at `_pivots[i]`, so it reduces against the whole basis in
     one product, and its residue is zero on every pivot. Rows are kept in
-    the order they were added, `_free` ascending; `rows` and `pivot_cols`
-    sort them by pivot, which is the unique RREF of the span.
+    the order they were added, `_free` ascending; `rows` sorts them by
+    pivot, which is the unique RREF of the span. `rows` and `dim()` are the
+    read side; `insert`, `insert_rows` and `insert_products` add vectors.
     """
 
     __slots__ = ("field", "ambient_dim", "dtype", "_pivots", "_free", "_r")
@@ -572,22 +581,6 @@ class SpanBasis:
             out[:, self._free] = self._r
         return out[np.argsort(self._pivots)]
 
-    @property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pivots))
-
-    def reduce(self, vec: Sequence[int] | np.ndarray) -> np.ndarray:
-        """Residue of vec after elimination against the basis."""
-        v = self._coerce(vec, ndim=1)
-        if not self.dim():
-            return v.astype(np.int64)
-        out = np.zeros(self.ambient_dim, dtype=np.int64)
-        out[self._free] = self._residues(v[np.newaxis])[0]
-        return out
-
-    def contains(self, vec: Sequence[int] | np.ndarray) -> bool:
-        return not self.reduce(vec).any()
-
     def insert(self, vec: Sequence[int] | np.ndarray) -> bool:
         """Insert vec if independent; returns True iff the dimension grew."""
         return bool(self._insert_block(self._coerce(vec, ndim=1)[np.newaxis]))
@@ -604,6 +597,42 @@ class SpanBasis:
         """
         return self._insert_block(self._coerce(block, ndim=2))
 
+    def insert_products(self, gens: Sequence[np.ndarray], words: np.ndarray) -> np.ndarray:
+        """Insert every product g @ w in turn; returns those that grew the span.
+
+        compute_length's level step. gens are n x n arrays and words an
+        (f, n, n) array, with n^2 == ambient_dim, of residues in [0, p) that
+        are not checked. The candidates are listed generator-major: each
+        generator in turn times every word. They are built BLOCK_ROWS at a
+        time, whatever the generator boundaries, each block from the slices
+        of the generators it covers, cast to the basis dtype one slice at a
+        time, reduced, and inserted as `insert_rows` would. A repeated
+        candidate lies in the span of its first copy and is rejected like any
+        other dependent one. Once the span is full, the remaining blocks are
+        neither built nor inserted. The kept products come back in order, an
+        (m, n, n) array in the smallest unsigned dtype that holds p - 1; both
+        casts are exact on residues.
+        """
+        p = self.field.p
+        word = np.min_scalar_type(p - 1)
+        gens = [g.astype(self.dtype) for g in gens]
+        # Candidate c is gens[c // f] @ words[c % f].
+        f = len(words)
+        rows = len(gens) * f
+        grown = [np.empty((0, *words.shape[1:]), dtype=word)]
+        for start in range(0, rows, BLOCK_ROWS):
+            if self.dim() == self.ambient_dim:
+                break
+            stop = min(start + BLOCK_ROWS, rows)
+            parts = [
+                gens[i] @ words[max(start - i * f, 0) : stop - i * f].astype(self.dtype)
+                for i in range(start // f, (stop - 1) // f + 1)
+            ]
+            block = _reduce(parts[0] if len(parts) == 1 else np.concatenate(parts), p)
+            kept = self._insert_block(block.reshape(len(block), self.ambient_dim))
+            grown.append(block[kept].astype(word))
+        return np.concatenate(grown)
+
     def _coerce(self, values, ndim: int) -> np.ndarray:
         """Vector (ndim 1) or block of rows (ndim 2) of integers as residues in the basis dtype.
 
@@ -618,23 +647,22 @@ class SpanBasis:
             )
         return (_int64_entries(v, "vector entries") % self.field.p).astype(self.dtype, copy=False)
 
-    def _residues(self, b: np.ndarray) -> np.ndarray:
-        """Residues of the rows of b (residues, basis dtype) on the free columns; d > 0."""
-        res = b[:, self._free]
-        res -= b[:, self._pivots] @ self._r
-        return _reduce(res, self.field.p)
-
     def _insert_block(self, b: np.ndarray) -> list[int]:
         """`insert_rows` for a block of residues in [0, p) already in the basis dtype.
 
-        compute_length passes its candidate blocks here as built; b is only read.
+        insert_products passes its candidate blocks here as built; b is only read.
         """
         p = self.field.p
         d = self.dim()
         if d == self.ambient_dim:
             return []
         free = self._free if d else np.arange(self.ambient_dim)
-        res = self._residues(b) if d else b
+        res = b
+        if d:
+            # One product reduces the block against the basis, on the free columns.
+            res = b[:, free]
+            res -= b[:, self._pivots] @ self._r
+            _reduce(res, p)
         # Local elimination in candidate order, on the f free columns. new[:k]
         # holds the rows kept so far, each reduced against those before it and
         # stored unscaled, so new[:k, lp[:k]] is upper triangular with the

@@ -1,7 +1,9 @@
 """Sequential test-side references that share no code with the span engine.
 
 `FullRowBasis` is the one-vector-at-a-time RREF basis that stores every row
-over all columns; `krylov_minimal_polynomial` finds the first Krylov
+over all columns, and `full_row_basis` rebuilds one from the public `rows`
+of a span-engine basis, for membership tests and residues the engine does not
+offer; `krylov_minimal_polynomial` finds the first Krylov
 dependence power by power. Both work in int64: a reduction sums at most
 ambient_dim products below p^2, exact for every shape the tests use.
 `shifted_chain` builds the powers (A - lambda I)^j with plain numpy products.
@@ -81,6 +83,14 @@ class FullRowBasis:
         self._rows = np.vstack([self._rows, v])
         self._pivots.append(j)
         return True
+
+
+def full_row_basis(basis) -> FullRowBasis:
+    """A FullRowBasis of the span of a `SpanBasis`, built from its rows alone."""
+    ref = FullRowBasis(basis.field, basis.ambient_dim)
+    for row in basis.rows:
+        ref.insert(row)
+    return ref
 
 
 def rank_accepted_invertible(n: int, field: PrimeField, rng: np.random.Generator) -> Matrix:

@@ -46,7 +46,7 @@ from matlen.linalg import (
     rank,
 )
 from matlen.spectral import minimal_polynomial
-from reference import FullRowBasis, divisor_poly, poly_eval, poly_product, powmod
+from reference import FullRowBasis, divisor_poly, full_row_basis, poly_eval, poly_product, powmod
 
 F7 = PrimeField(7)
 F101 = PrimeField(101)
@@ -684,10 +684,12 @@ class TestSpanBasis:
         basis = SpanBasis(F7, 9)
         for _ in range(12):
             basis.insert(rng.integers(0, 7, size=9))
-        rows, pivots = basis.rows, basis.pivot_cols
-        assert list(pivots) == sorted(pivots)
-        for r, pc in enumerate(pivots):
-            assert rows[r, pc] == 1
+        rows = basis.rows
+        # The RREF of a span is unique: rebuilt from its rows, it gives them back.
+        ref = full_row_basis(basis)
+        assert ref.dim() == basis.dim() and np.array_equal(ref.rows, rows)
+        for r, pc in enumerate(ref.pivot_cols):
+            assert rows[r, pc] == 1 and not rows[r, :pc].any()
             col = rows[:, pc].copy()
             col[r] = 0
             assert not col.any()
@@ -743,7 +745,6 @@ class TestSpanBasis:
         blocked, sequential = SpanBasis(big, 8193), FullRowBasis(big, 8193)
         assert blocked.dtype == np.int64
         assert blocked.insert_rows(block) == [i for i, v in enumerate(block) if sequential.insert(v)]
-        assert blocked.pivot_cols == sequential.pivot_cols
         assert np.array_equal(blocked.rows, sequential.rows)
 
     def test_insert_rows_dimension_mismatch(self):
@@ -808,7 +809,6 @@ class TestSpanBasis:
         # unreduced ones shows.
         assert accepted == [i for i, v in enumerate(block % p) if sequential.insert(v)]
         assert blocked.dim() == sequential.dim()
-        assert blocked.pivot_cols == sequential.pivot_cols
         assert np.array_equal(blocked.rows, sequential.rows)
         assert blocked.rows.dtype == np.int64
 
@@ -854,14 +854,59 @@ class TestSpanBasis:
                     assert basis.insert_rows(block) == [i for i, v in enumerate(block) if reference.insert(v)]
                 d = basis.dim()
                 assert d == reference.dim()
-                assert basis.pivot_cols == reference.pivot_cols
                 assert np.array_equal(basis.rows, reference.rows)
                 assert basis._r.size == d * (ambient - d)
                 # No silent upcast: R stays in the dtype the bound chose.
                 assert basis._r.dtype == basis.dtype
-                for v in np.vstack([block, rng.integers(0, p, size=(2, ambient))]):
-                    assert np.array_equal(basis.reduce(v), reference.reduce(v))
-                    assert basis.contains(v) == reference.contains(v)
+
+    # Kept words are stored in uint8 up to p = 251, uint16 up to p = 65521
+    # and uint32 above: each pair of primes straddles one boundary.
+    @pytest.mark.parametrize("p", [251, 257, 65521, 65537, 1048573])
+    def test_insert_products_returns_the_kept_words_exactly(self, p):
+        # Times the identity, independent words are all kept, as they are;
+        # each holds p - 1, which a dtype too narrow for it would wrap.
+        field = PrimeField(p)
+        words = np.random.default_rng(p).integers(0, p, size=(5, 3, 3))
+        words[:, 0, 0] = p - 1
+        reference = FullRowBasis(field, 9)
+        assert all(reference.insert(w.reshape(-1)) for w in words)
+        basis = SpanBasis(field, 9)
+        kept = basis.insert_products([np.eye(3, dtype=np.int64)], words)
+        assert np.array_equal(kept, words) and basis.dim() == 5
+        assert kept.dtype == np.min_scalar_type(p - 1)
+        # Again, every product is dependent, and no words give no products.
+        for again in (words, words[:0]):
+            kept = basis.insert_products([np.eye(3, dtype=np.int64)], again)
+            assert kept.shape == (0, 3, 3) and basis.dim() == 5
+
+    # At n = 4 the basis is float32 up to p = 257 and float64 from 65521 on;
+    # the kept words are uint8, uint16 or uint32 as in the test above.
+    @pytest.mark.parametrize("block_rows", [1, 5, matlen.linalg.BLOCK_ROWS])
+    @pytest.mark.parametrize("p", [2, 101, 251, 257, 65521, 65537, 1048573])
+    def test_insert_products_matches_sequential_inserts(self, p, block_rows, monkeypatch):
+        """Two levels of insert_products keep what inserting each g @ w in
+        turn, generator-major, into a FullRowBasis keeps."""
+        monkeypatch.setattr(matlen.linalg, "BLOCK_ROWS", block_rows)
+        field, n = PrimeField(p), 4
+        rng = np.random.default_rng(p)
+        gens = list(rng.integers(0, p, size=(2, n, n)))
+        words = rng.integers(0, p, size=(6, n, n))
+        # A repeated word and one in the span of two others: both are rejected.
+        words[4] = words[0]
+        words[5] = (words[1] + 3 * words[2]) % p
+        basis, reference = SpanBasis(field, n * n), FullRowBasis(field, n * n)
+        identity = np.eye(n, dtype=np.int64).reshape(-1)
+        assert basis.insert(identity) == reference.insert(identity)
+        # The second level has 2 x (kept words) candidates, more than the
+        # room left, so it fills the span part way through.
+        for _ in range(2):
+            products = [g @ w % p for g in gens for w in words]
+            expected = [c for c in products if reference.insert(c.reshape(-1))]
+            words = basis.insert_products(gens, words)
+            assert words.dtype == np.min_scalar_type(p - 1)
+            assert np.array_equal(words, np.array(expected).reshape(-1, n, n))
+            assert basis.dim() == reference.dim()
+            assert np.array_equal(basis.rows, reference.rows)
 
     def test_full_span_stops_the_local_elimination(self, monkeypatch):
         """A block whose first row fills the span does no per-row work on the rows after it."""
@@ -884,12 +929,13 @@ class TestSpanBasis:
         vecs = [rng.integers(0, 101, size=n * n) for _ in range(n)]
         for v in vecs:
             basis.insert(v)
+        spanned = full_row_basis(basis)
         for v in vecs:
-            assert basis.contains(v)
+            assert spanned.contains(v)
 
 
 class TestSpanBasisInput:
-    @pytest.mark.parametrize("method", ["insert", "insert_rows", "reduce", "contains"])
+    @pytest.mark.parametrize("method", ["insert", "insert_rows"])
     @pytest.mark.parametrize(
         "vec",
         [
@@ -930,8 +976,6 @@ class TestSpanBasisInput:
         for call, arg in [
             (basis.insert_rows, ints),
             (basis.insert, ints[0]),
-            (basis.reduce, ints[0]),
-            (basis.contains, ints[0]),
         ]:
             with pytest.raises(ParseError, match="must be integers"):
                 call(arg.astype(np.float64))
