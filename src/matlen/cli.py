@@ -4,8 +4,9 @@ Each cmd_* returns its config and its records (fuzz as a lazy iterator);
 `main` alone builds the report, writes it as the records arrive and picks
 the exit code: 0 when the report counts no violation, else 1; 2 usage or
 parse error (a failed write, to --out or stdout, too), 3 unsupported
-instance; each `MatlenError` carries its own code and label. Reports are
-deterministic given the seed.
+instance. Every error `main` reports is a `MatlenError`, which carries its
+own code and label; any other exception is a bug and is not caught. Reports
+are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import reports
 from .certificates import analyze_generators, bound_ledger
-from .errors import EmptySet, GenerationRetriesExhausted, MatlenError, ParseError
+from .errors import BudgetExceeded, EmptySet, GenerationRetriesExhausted, MatlenError, ParseError
 from .instances import (
     FAMILIES,
     admissible_degrees,
@@ -108,12 +109,13 @@ def _fuzz_one(task: tuple[str, int, int, int, int]) -> dict:
     return _record(index, gs, {**fields, **base, "retries": built.retries})
 
 
-def _fuzz_task(task: tuple[str, int, int, int, int]) -> dict | Exception:
-    """_fuzz_one, returning the errors `main` reports: imap hands a chunk over
-    whole or not at all, so raising one would drop the records before it."""
+def _fuzz_task(task: tuple[str, int, int, int, int]) -> dict | MatlenError:
+    """_fuzz_one, returning a `MatlenError`, the one type `main` reports, as a
+    value: imap hands a chunk over whole or not at all, so raising it would
+    drop the records before it. Any other exception is a bug and propagates."""
     try:
         return _fuzz_one(task)
-    except (MatlenError, ValueError) as exc:
+    except MatlenError as exc:
         return exc
 
 
@@ -178,7 +180,7 @@ def cmd_fuzz(args: argparse.Namespace) -> tuple[dict, Iterator[dict]]:
         # run `main` again and again in one process.
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             for record in pool.imap(_fuzz_task, tasks, FUZZ_CHUNK):
-                if isinstance(record, Exception):
+                if isinstance(record, MatlenError):
                     raise record
                 yield record
 
@@ -235,11 +237,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> tuple[dict, list[dict]]:
         config = {"count": args.count, "n": ns, "p": args.p, "seed": args.seed}
     for n in ns:
         if n > 3:
-            raise ValueError(f"oracle-check supports n <= 3, got {n}")
+            raise BudgetExceeded(f"oracle-check supports n <= 3, got {n}")
     records = []
     for index, gs in enumerate(sets):
         if len(gs.gens) > 3:
-            raise ValueError(f"oracle-check supports at most 3 generators, got {len(gs.gens)}")
+            raise BudgetExceeded(f"oracle-check supports at most 3 generators, got {len(gs.gens)}")
         max_len = args.max_level if args.max_level is not None else gs.n * gs.n
         fast = compute_length(gs)
         slow = brute_force_length(gs, max_len)
@@ -322,9 +324,6 @@ def main(argv: list[str] | None = None) -> int:
     except MatlenError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     finally:
         # Closing a pooled campaign part-way terminates and joins its workers.
         if hasattr(records, "close"):

@@ -54,7 +54,8 @@ def _int64_entries(arr: np.ndarray, what: str) -> np.ndarray:
 
 def _integer(value, what: str) -> int:
     """value as int; numpy integers are accepted, bool, float and other objects
-    rejected, never truncated. The rule of Matrix and Polynomial, for one scalar."""
+    rejected, never truncated. The rule of Matrix for one scalar; Polynomial
+    applies it to each coefficient."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ParseError(f"{what} must be an integer, got {type(value).__name__}")
     return int(value)
@@ -186,31 +187,12 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        for c in cs:
-            # bool is an int subclass, and floats, complex numbers and other
-            # objects would be kept as field elements: reject, never truncate.
-            if not isinstance(c, (int, np.integer)) or isinstance(c, bool):
-                raise ParseError(f"polynomial coefficients must be integers, got {type(c).__name__}")
         self.field = field
-        self.coeffs = _canonical_coeffs(map(int, cs), field.p)
-
-    @classmethod
-    def _from_ints(cls, field: PrimeField, coeffs: Iterable[int]) -> Polynomial:
-        """A polynomial from Python ints the package computed, without the type checks.
-
-        Reduces mod p and strips trailing zeros like the public constructor.
-        Synthetic division, root splitting and minimal_polynomial build their
-        results through here: the public checks cost a loop over every coefficient.
-        """
-        poly = object.__new__(cls)
-        poly.field = field
-        poly.coeffs = _canonical_coeffs(coeffs, field.p)
-        return poly
+        self.coeffs = _canonical_coeffs((_integer(c, "polynomial coefficient") for c in coeffs), field.p)
 
     @classmethod
     def zero(cls, field: PrimeField) -> Polynomial:
-        return cls._from_ints(field, ())
+        return cls(field, ())
 
     @property
     def degree(self) -> int:
@@ -229,7 +211,7 @@ class Polynomial:
         if not self.coeffs:
             return Polynomial.zero(self.field), 0
         quot, rem = _divmod_linear_coeffs(self.coeffs, lam, self.field.p)
-        return Polynomial._from_ints(self.field, quot), rem
+        return Polynomial(self.field, quot), rem
 
     def __eq__(self, other: object) -> bool:
         return (

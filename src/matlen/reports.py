@@ -53,24 +53,16 @@ def parse_instance(obj: Any) -> GeneratingSet:
     for mi, rows in enumerate(matrices):
         if not isinstance(rows, list) or len(rows) != n:
             raise ParseError(f"matrix {mi} must have {n} rows")
-        # One check per row (type(x) is int rejects bools); only a matrix that
-        # fails it goes through the entries one by one, to name the first bad one.
-        if not all(
-            type(row) is list and len(row) == n and set(map(type, row)) == {int} and 0 <= min(row) and max(row) < p
-            for row in rows
-        ):
-            for ri, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != n:
-                    raise ParseError(
-                        f"matrix {mi} row {ri} has {len(row) if isinstance(row, list) else 'no'} entries, expected {n}"
-                    )
-                for ci, x in enumerate(row):
-                    if not isinstance(x, int) or isinstance(x, bool):
-                        raise ParseError(f"matrix {mi} entry ({ri},{ci}) is not an integer")
-                    if not 0 <= x < p:
-                        raise ParseError(
-                            f"matrix {mi} entry ({ri},{ci}) = {x} outside [0, {p})"
-                        )
+        for ri, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise ParseError(
+                    f"matrix {mi} row {ri} has {len(row) if isinstance(row, list) else 'no'} entries, expected {n}"
+                )
+            for ci, x in enumerate(row):
+                if not isinstance(x, int) or isinstance(x, bool):
+                    raise ParseError(f"matrix {mi} entry ({ri},{ci}) is not an integer")
+                if not 0 <= x < p:
+                    raise ParseError(f"matrix {mi} entry ({ri},{ci}) = {x} outside [0, {p})")
         gens.append(Matrix(field, rows))
     return GeneratingSet(field=field, n=n, gens=tuple(gens))
 
@@ -81,7 +73,9 @@ def load_instance(path: str) -> GeneratingSet:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, and json.load's own errors from undecodable bytes
+        # or an integer past the interpreter's digit limit.
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     return parse_instance(obj)
 

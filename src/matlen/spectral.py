@@ -47,7 +47,7 @@ def minimal_polynomial(a: Matrix) -> Polynomial:
     d = len(pivots)
     if d > n or pivots != list(range(d)):
         raise RuntimeError(f"Krylov pivots {pivots} of an order-{n} matrix are not a proper prefix")
-    return Polynomial._from_ints(field, [-int(c) for c in reduced[:d, d]] + [1])
+    return Polynomial(field, [-int(c) for c in reduced[:d, d]] + [1])
 
 
 # split_roots scans every field element for roots while p <= SCAN_MAX_P and
@@ -104,7 +104,7 @@ def splitting_roots(poly: Polynomial) -> list[int]:
         raise ValueError("Rabin splitting needs an odd prime")
     half = (p - 1) // 2
     lead_inv = field.inv(poly.coeffs[-1])
-    monic = Polynomial._from_ints(field, [c * lead_inv for c in poly.coeffs])
+    monic = Polynomial(field, [c * lead_inv for c in poly.coeffs])
     # The steps below work on coefficient lists. chain[a] holds h_a, reduced
     # mod p, possibly with trailing zeros. _divmod_coeffs overwrites its first
     # argument: h(a) hands out a copy, and a factor g is divided by d last.
@@ -146,8 +146,11 @@ def split_roots(poly: Polynomial) -> Spectrum:
     `splitting_roots` above, then divides each root out to its full
     multiplicity by synthetic division. Each is a root of what remains, since
     only other linear factors were divided out, and both finders return the
-    roots ascending. Raises NotSplit if a nonlinear factor remains.
+    roots ascending. Raises NotSplit if a nonlinear factor remains, and
+    ValueError for the zero polynomial, which every element is a root of.
     """
+    if not poly.coeffs:
+        raise ValueError("cannot split the zero polynomial")
     p = poly.field.p
     root_vals = scan_roots(poly) if p <= SCAN_MAX_P else splitting_roots(poly)
     roots: list[tuple[int, int]] = []

@@ -73,23 +73,33 @@ class TestParsing:
         with pytest.raises(ParseError, match="'p'"):
             parse_instance(obj)
 
-    # Each kind of bad entry fails the per-row check, and the per-entry loop
-    # names it.
+    # The per-entry loop is the only check on a matrix: it names the first
+    # bad row or entry, in matrix, row and column order.
     @pytest.mark.parametrize(
-        "row, message",
+        "edits, message",
         [
-            ([0, True], "matrix 1 entry (1,1) is not an integer"),
-            ([0, 1.0], "matrix 1 entry (1,1) is not an integer"),
-            ([0, -1], "matrix 1 entry (1,1) = -1 outside [0, 101)"),
-            ([0, 101], "matrix 1 entry (1,1) = 101 outside [0, 101)"),
-            ([0], "matrix 1 row 1 has 1 entries, expected 2"),
-            ((0, 0), "matrix 1 row 1 has no entries, expected 2"),
+            ({(1, 1): [0, True]}, "matrix 1 entry (1,1) is not an integer"),
+            ({(1, 1): [0, 1.0]}, "matrix 1 entry (1,1) is not an integer"),
+            ({(1, 1): [0, None]}, "matrix 1 entry (1,1) is not an integer"),
+            ({(1, 1): [0, "1"]}, "matrix 1 entry (1,1) is not an integer"),
+            ({(1, 1): [0, [1]]}, "matrix 1 entry (1,1) is not an integer"),
+            ({(1, 1): [0, -1]}, "matrix 1 entry (1,1) = -1 outside [0, 101)"),
+            ({(1, 1): [0, 101]}, "matrix 1 entry (1,1) = 101 outside [0, 101)"),
+            ({(1, 1): [0, 2**70]}, f"matrix 1 entry (1,1) = {2**70} outside [0, 101)"),
+            ({(1, 1): [1.0, -1]}, "matrix 1 entry (1,0) is not an integer"),
+            ({(0, 1): [0, -1], (1, 0): [0.5, 0]}, "matrix 0 entry (1,1) = -1 outside [0, 101)"),
+            ({(1, 1): [0]}, "matrix 1 row 1 has 1 entries, expected 2"),
+            ({(1, 1): (0, 0)}, "matrix 1 row 1 has no entries, expected 2"),
         ],
-        ids=["bool", "float", "negative", "p", "short-row", "tuple-row"],
+        ids=[
+            "bool", "float", "none", "string", "list", "negative", "p", "huge",
+            "first-of-two", "first-matrix", "short-row", "tuple-row",
+        ],
     )
-    def test_bad_entry_named(self, row, message):
+    def test_bad_entry_named(self, edits, message):
         obj = units_instance()
-        obj["matrices"][1][1] = row
+        for (mi, ri), row in edits.items():
+            obj["matrices"][mi][ri] = row
         with pytest.raises(ParseError) as info:
             parse_instance(obj)
         assert str(info.value) == message
@@ -178,6 +188,31 @@ class TestExitCodes:
             "matrices": [[[0] * 4 for _ in range(4)]],
         }
         assert main(["oracle-check", "--input", write_instance(tmp_path, obj)]) == 2
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"\xff", "codec can't decode byte 0xff"),
+            (b'{"schema": 1, "p": 101, "n": 1, "matrices": [[[' + b"9" * 5000 + b"]]]}", "digits"),
+        ],
+        ids=["not-utf8", "5000-digit-entry"],
+    )
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys, data, message):
+        # json.load raises a plain ValueError for these, not a JSONDecodeError.
+        path = tmp_path / "inst.json"
+        path.write_bytes(data)
+        assert main(["length", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        if message == "digits" and not hasattr(sys, "get_int_max_str_digits"):
+            # An interpreter without the digit limit parses the entry.
+            assert err.startswith("error: matrix 0 entry (0,0) = 9")
+        else:
+            assert err.startswith(f"error: malformed JSON in {path}: ") and message in err
+
+    def test_oracle_check_rejects_many_generators(self, tmp_path, capsys):
+        obj = {"schema": 1, "p": 101, "n": 2, "matrices": [[[i, 0], [0, 0]] for i in range(4)]}
+        assert main(["oracle-check", "--input", write_instance(tmp_path, obj)]) == 2
+        assert capsys.readouterr().err == "error: oracle-check supports at most 3 generators, got 4\n"
 
     def test_unknown_family(self):
         assert main(["fuzz", "--count", "1", "--family", "NOPE", "--n", "2"]) == 2
@@ -698,8 +733,8 @@ class TestFuzzWorkers:
 
     @pytest.mark.parametrize(
         "exc_type, code, prefix",
-        [(BudgetExceeded, 2, "error"), (ValueError, 2, "error"), (NotSplit, 3, "unsupported instance")],
-        ids=["budget", "value", "not-split"],
+        [(BudgetExceeded, 2, "error"), (NotSplit, 3, "unsupported instance")],
+        ids=["budget", "not-split"],
     )
     def test_worker_error_matches_serial(self, monkeypatch, capsys, tmp_path, exc_type, code, prefix):
         # Every non-RANDOM instance fails, each with its own message: the

@@ -163,28 +163,19 @@ class TestPolynomialInput:
         ids=["bool", "numpy-bool", "float", "integral-float", "numpy-float", "complex", "fraction", "object"],
     )
     def test_non_integer_coefficients_rejected(self, coeff):
-        with pytest.raises(ParseError, match="must be integers"):
+        with pytest.raises(ParseError, match="polynomial coefficient must be an integer, got "):
             Polynomial(F7, [1, coeff])
 
 
 def assert_canonical(poly: Polynomial) -> None:
-    """poly is what the public constructor makes of its own coefficients."""
+    """poly holds Python ints, and rebuilding it from them is a no-op."""
     assert all(type(c) is int for c in poly.coeffs)
     assert poly == Polynomial(poly.field, list(poly.coeffs))
 
 
-class TestInternalConstructor:
-    # The package builds its results through Polynomial._from_ints, which
-    # skips the public constructor's type checks but must agree with it.
-    @settings(max_examples=100, deadline=None)
-    @given(
-        p=st.sampled_from([2, 7, 101, 1048573]),
-        cs=st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), max_size=8),
-    )
-    def test_matches_public_constructor(self, p, cs):
-        field = PrimeField(p)
-        assert Polynomial._from_ints(field, cs) == Polynomial(field, cs)
-
+class TestCanonicalResults:
+    # Results hold Python ints and rebuild to themselves; the list kernels
+    # return coefficient lists that are already reduced and trimmed.
     @settings(max_examples=80, deadline=None)
     @given(
         p=st.sampled_from([2, 7, 101, 1048573]),

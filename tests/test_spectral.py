@@ -113,6 +113,13 @@ class TestSplitRoots:
         with pytest.raises(NotSplit):
             split_roots(mp)
 
+    @pytest.mark.parametrize("p", [2, 101, 1048573])
+    def test_zero_polynomial_rejected(self, p):
+        # Refused before either root finder: the scan would list every
+        # element as a root, and the splitting path has no leading coefficient.
+        with pytest.raises(ValueError, match="zero polynomial"):
+            split_roots(Polynomial.zero(PrimeField(p)))
+
     def test_triple_root(self):
         cube = divisor_poly(F11, [(5, 3)])
         assert split_roots(cube).roots == ((5, 3),)
